@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -365,4 +366,131 @@ reach(x, z) :- reach(x, y), edge(y, z).
 	}
 	defer db2.Close()
 	check(db2, "reopened")
+}
+
+// TestPersistConcurrentReadersDuringApply runs bound Query, snapshot Query
+// and snapshot Scan readers against a durable database while a writer
+// streams insert and delete batches. edge lives on the persistent tier,
+// whose cursors read the memtable in place, and the tiny flush threshold
+// puts flushes and background compactions under the readers. Every read
+// must see one whole fixpoint: a chain of 4k edges and its closure. Under
+// -race it is the durable tier's concurrency test.
+func TestPersistConcurrentReadersDuringApply(t *testing.T) {
+	db, err := tcProgram(t, "btree").Open(tinyPersist(t.TempDir()))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	if st := db.Stats(); st.Persist == nil || st.Persist.Tables == 0 {
+		t.Fatalf("edge is not on the persistent tier: %+v", st.Persist)
+	}
+
+	const segments = 12
+	edges := chainEdges(segments * 4)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				x := rng.Intn(len(edges))
+				switch rng.Intn(3) {
+				case 0:
+					rows, err := db.Query("edge", x, nil)
+					if err != nil {
+						t.Errorf("query edge: %v", err)
+						return
+					}
+					if len(rows) > 1 || len(rows) == 1 && fmt.Sprint(rows[0]) != fmt.Sprint([]int{x, x + 1}) {
+						t.Errorf("edge(%d, _) = %v", x, rows)
+						return
+					}
+				case 1:
+					rows, err := db.Query("path", x, nil)
+					if err != nil {
+						t.Errorf("query path: %v", err)
+						return
+					}
+					for i, row := range rows {
+						if fmt.Sprint(row) != fmt.Sprint([]int{x, x + 1 + i}) {
+							t.Errorf("path(%d, _) row %d = %v: not a chain closure", x, i, row)
+							return
+						}
+					}
+				case 2:
+					s := db.Snapshot()
+					es, err1 := s.Scan("edge", 0, len(edges))
+					ps, err2 := s.Query("path")
+					s.Release()
+					if err1 != nil || err2 != nil {
+						t.Errorf("snapshot reads: %v, %v", err1, err2)
+						return
+					}
+					if n := len(es); n%4 != 0 || len(ps) != n*(n+1)/2 {
+						t.Errorf("snapshot saw %d edges and %d paths: not one fixpoint", n, len(ps))
+						return
+					}
+				}
+			}
+		}(int64(r + 1))
+	}
+	for s := 0; s < segments; s++ {
+		seg := edges[s*4 : (s+1)*4]
+		applyEdges(t, db, seg)
+		if s%3 == 2 {
+			// Retract the segment and add it back: tombstones, then
+			// re-inserts over them.
+			b := db.NewBatch()
+			for _, e := range seg {
+				b.Delete("edge", e[0], e[1])
+			}
+			if err := db.Apply(b); err != nil {
+				t.Fatalf("delete: %v", err)
+			}
+			applyEdges(t, db, seg)
+		}
+	}
+	close(done)
+	wg.Wait()
+	n := len(edges)
+	if got, _ := db.Size("path"); got != n*(n+1)/2 {
+		t.Fatalf("final path size = %d, want %d", got, n*(n+1)/2)
+	}
+	if st := db.Stats().Persist; st.Flushes == 0 {
+		t.Fatalf("no memtable flush happened under the readers: %+v", st)
+	}
+}
+
+// TestPersistRecoverySplit checks that a reopen reports where its recovery
+// time went: snapshot load, WAL replay, and fixpoint recomputation.
+func TestPersistRecoverySplit(t *testing.T) {
+	dir := t.TempDir()
+	db, err := MustParse(persistSrc).Open(tinyPersist(dir))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	applyScript(t, db, 3, 5)
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	db, err = MustParse(persistSrc).Open(tinyPersist(dir))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db.Close()
+	st := db.Stats().Persist
+	if !st.Recovered {
+		t.Fatalf("reopen did not recover: %+v", st)
+	}
+	if st.SnapshotLoad <= 0 || st.WALReplay <= 0 || st.Recompute <= 0 {
+		t.Fatalf("recovery split not set: snapshot %v, wal %v, recompute %v",
+			st.SnapshotLoad, st.WALReplay, st.Recompute)
+	}
 }

@@ -328,3 +328,25 @@ func TestQuickSeekConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIterDoesNotAllocate pins the inline descent path: seeking into a
+// multi-level tree and draining the iterator allocates nothing.
+func TestIterDoesNotAllocate(t *testing.T) {
+	tr := New[k2]()
+	for i := 0; i < 5000; i++ {
+		tr.Insert(k2{uint32(i), uint32(i)})
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		it := tr.Seek(k2{100, 0})
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+			n++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Seek + full Next loop allocates %.1f per run", allocs)
+	}
+	if want := 21 * 4900; n != want {
+		t.Fatalf("iterated %d keys, want %d", n, want)
+	}
+}

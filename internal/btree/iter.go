@@ -1,18 +1,25 @@
 package btree
 
+// maxHeight bounds the height of any tree. Every node below the root holds
+// at least degree-1 keys and internal ones at least degree children, so a
+// tree of height h holds at least 2·degree^(h-1) − 1 keys: height 16 would
+// need 2^46 keys, more than a 48-bit address space can hold at four bytes
+// each. The bound lets an iterator keep its descent path inline.
+const maxHeight = 16
+
 // Iter is a forward in-order iterator, optionally bounded above. The zero
 // value is an exhausted iterator. Iterators are invalidated by any mutation
 // of the tree they traverse.
+//
+// The descent path lives in fixed arrays sized by maxHeight, so creating,
+// seeking and advancing an iterator never allocates.
 type Iter[K Key[K]] struct {
-	stack   []frame[K]
+	nodes   [maxHeight]*node[K]
+	pos     [maxHeight]int8 // next key index within nodes[d]
+	depth   int             // frames in use
 	hi      K
 	bounded bool
 	hiExcl  *K // exclusive upper bound for partitioned scans
-}
-
-type frame[K Key[K]] struct {
-	nd *node[K]
-	i  int
 }
 
 // Iter returns an iterator over all keys in ascending order.
@@ -37,10 +44,17 @@ func (t *Tree[K]) Range(lo, hi K) Iter[K] {
 	return it
 }
 
+// push appends a frame for nd positioned at key index i.
+func (it *Iter[K]) push(nd *node[K], i int) {
+	it.nodes[it.depth] = nd
+	it.pos[it.depth] = int8(i)
+	it.depth++
+}
+
 // pushLeft descends to the leftmost position of the subtree rooted at nd.
 func (it *Iter[K]) pushLeft(nd *node[K]) {
 	for nd != nil {
-		it.stack = append(it.stack, frame[K]{nd, 0})
+		it.push(nd, 0)
 		if nd.leaf() {
 			return
 		}
@@ -48,11 +62,11 @@ func (it *Iter[K]) pushLeft(nd *node[K]) {
 	}
 }
 
-// seek builds the traversal stack so that Next yields keys >= lo in order.
+// seek builds the traversal path so that Next yields keys >= lo in order.
 func (it *Iter[K]) seek(nd *node[K], lo K) {
 	for nd != nil {
 		i, _ := nd.find(lo)
-		it.stack = append(it.stack, frame[K]{nd, i})
+		it.push(nd, i)
 		if nd.leaf() {
 			return
 		}
@@ -63,28 +77,23 @@ func (it *Iter[K]) seek(nd *node[K], lo K) {
 // Next returns the next key, or ok=false when the iterator is exhausted or
 // the next key exceeds the upper bound.
 func (it *Iter[K]) Next() (K, bool) {
-	for len(it.stack) > 0 {
-		top := &it.stack[len(it.stack)-1]
-		nd := top.nd
-		if top.i < int(nd.n) {
-			k := nd.keys[top.i]
-			if it.bounded && k.Cmp(it.hi) > 0 {
-				it.stack = it.stack[:0]
+	for it.depth > 0 {
+		d := it.depth - 1
+		nd, i := it.nodes[d], int(it.pos[d])
+		if i < int(nd.n) {
+			k := nd.keys[i]
+			if (it.bounded && k.Cmp(it.hi) > 0) || (it.hiExcl != nil && k.Cmp(*it.hiExcl) >= 0) {
+				it.depth = 0
 				var zero K
 				return zero, false
 			}
-			if it.hiExcl != nil && k.Cmp(*it.hiExcl) >= 0 {
-				it.stack = it.stack[:0]
-				var zero K
-				return zero, false
-			}
-			top.i++
+			it.pos[d]++
 			if !nd.leaf() {
-				it.pushLeft(nd.children[top.i])
+				it.pushLeft(nd.children[i+1])
 			}
 			return k, true
 		}
-		it.stack = it.stack[:len(it.stack)-1]
+		it.depth--
 	}
 	var zero K
 	return zero, false

@@ -10,25 +10,21 @@ import (
 )
 
 // btreeAdapter is the dynamic adapter over a specialized B-tree instance
-// (paper Fig 7). The key type K is one of the fixed-arity tuple types from
-// tuples_gen.go; toKey/fromKey are the per-arity conversion glue installed
-// by the generated factory.
-type btreeAdapter[K btree.Key[K]] struct {
-	tree    *btree.Tree[K]
-	order   tuple.Order
-	arity   int
-	toKey   func(tuple.Tuple) K
-	fromKey func(K, tuple.Tuple)
-	ops     *metrics.IndexOps
+// (paper Fig 7). The key type K is one of the fixed-arity tuple types
+// (tuple.Tup1..Tup16); the generated factory picks it by arity, and K's own
+// FromWords/ToWords methods are the per-arity conversion glue.
+type btreeAdapter[K tuple.FixedKey[K]] struct {
+	tree  *btree.Tree[K]
+	order tuple.Order
+	arity int
+	ops   *metrics.IndexOps
 }
 
-func newBTreeAdapter[K btree.Key[K]](order tuple.Order, toKey func(tuple.Tuple) K, fromKey func(K, tuple.Tuple)) *btreeAdapter[K] {
+func newBTreeAdapter[K tuple.FixedKey[K]](order tuple.Order) *btreeAdapter[K] {
 	return &btreeAdapter[K]{
-		tree:    btree.New[K](),
-		order:   order,
-		arity:   len(order),
-		toKey:   toKey,
-		fromKey: fromKey,
+		tree:  btree.New[K](),
+		order: order,
+		arity: len(order),
 	}
 }
 
@@ -40,10 +36,21 @@ func (a *btreeAdapter[K]) Clear()                          { a.tree.Clear() }
 func (a *btreeAdapter[K]) impl() any                       { return a.tree }
 func (a *btreeAdapter[K]) attachOps(ops *metrics.IndexOps) { a.ops = ops }
 
+// encode re-orders a source-order tuple into its key. The conversion takes
+// the buffer by value, so enc stays on the stack.
 func (a *btreeAdapter[K]) encode(t tuple.Tuple) K {
-	var enc [MaxArity]value.Value
+	var enc tuple.Words
 	a.order.Encode(enc[:a.arity], t)
-	return a.toKey(enc[:a.arity])
+	var k K
+	return k.FromWords(enc)
+}
+
+// keyOf converts an encoded-order tuple to its key.
+func keyOf[K tuple.FixedKey[K]](t tuple.Tuple) K {
+	var w tuple.Words
+	copy(w[:], t)
+	var k K
+	return k.FromWords(w)
 }
 
 func (a *btreeAdapter[K]) Insert(t tuple.Tuple) bool {
@@ -62,12 +69,10 @@ func (a *btreeAdapter[K]) Insert(t tuple.Tuple) bool {
 const bulkBatch = 64
 
 func (a *btreeAdapter[K]) InsertAll(flat []value.Value, count int) int {
-	var enc [MaxArity]value.Value
 	var keys [bulkBatch]K
 	added, kn := 0, 0
 	for i := 0; i < count; i++ {
-		a.order.Encode(enc[:a.arity], flat[i*a.arity:(i+1)*a.arity])
-		keys[kn] = a.toKey(enc[:a.arity])
+		keys[kn] = a.encode(flat[i*a.arity : (i+1)*a.arity])
 		kn++
 		if kn == bulkBatch {
 			added += a.tree.InsertAll(keys[:kn])
@@ -93,7 +98,7 @@ func (a *btreeAdapter[K]) ContainsEncoded(t tuple.Tuple) bool {
 	if a.ops != nil {
 		a.ops.Lookups.Add(1)
 	}
-	return a.tree.Contains(a.toKey(t))
+	return a.tree.Contains(keyOf[K](t))
 }
 
 func (a *btreeAdapter[K]) SwapContents(other Index) {
@@ -109,18 +114,15 @@ func (a *btreeAdapter[K]) Scan() Iterator {
 	if a.ops != nil {
 		a.ops.Scans.Add(1)
 	}
-	return newBuffered(&btreeBatch[K]{it: a.tree.Iter(), fromKey: a.fromKey}, a.arity)
+	return newBuffered(&btreeBatch[K]{it: a.tree.Iter()}, a.arity)
 }
 
 func (a *btreeAdapter[K]) PrefixScan(pattern tuple.Tuple, k int) Iterator {
 	if a.ops != nil {
 		a.ops.RangeScans.Add(1)
 	}
-	lo, hi := prefixBounds(pattern, k, a.arity)
-	return newBuffered(&btreeBatch[K]{
-		it:      a.tree.Range(a.toKey(lo), a.toKey(hi)),
-		fromKey: a.fromKey,
-	}, a.arity)
+	lo, hi := prefixBounds[K](pattern, k)
+	return newBuffered(&btreeBatch[K]{it: a.tree.Range(lo, hi)}, a.arity)
 }
 
 func (a *btreeAdapter[K]) AnyMatch(pattern tuple.Tuple, k int) bool {
@@ -130,8 +132,8 @@ func (a *btreeAdapter[K]) AnyMatch(pattern tuple.Tuple, k int) bool {
 	if k == 0 {
 		return a.tree.Size() > 0
 	}
-	lo, hi := prefixBounds(pattern, k, a.arity)
-	it := a.tree.Range(a.toKey(lo), a.toKey(hi))
+	lo, hi := prefixBounds[K](pattern, k)
+	it := a.tree.Range(lo, hi)
 	_, ok := it.Next()
 	return ok
 }
@@ -150,23 +152,16 @@ func (a *btreeAdapter[K]) PartitionScan(n int) []Iterator {
 	var lo *K
 	for i := range seps {
 		hi := seps[i]
-		out = append(out, newBuffered(&btreeBatch[K]{
-			it:      a.tree.SeekBefore(lo, &hi),
-			fromKey: a.fromKey,
-		}, a.arity))
+		out = append(out, newBuffered(&btreeBatch[K]{it: a.tree.SeekBefore(lo, &hi)}, a.arity))
 		lo = &seps[i]
 	}
-	out = append(out, newBuffered(&btreeBatch[K]{
-		it:      a.tree.SeekBefore(lo, nil),
-		fromKey: a.fromKey,
-	}, a.arity))
+	out = append(out, newBuffered(&btreeBatch[K]{it: a.tree.SeekBefore(lo, nil)}, a.arity))
 	return out
 }
 
 // btreeBatch adapts a concrete B-tree iterator to the wide batcher call.
-type btreeBatch[K btree.Key[K]] struct {
-	it      btree.Iter[K]
-	fromKey func(K, tuple.Tuple)
+type btreeBatch[K tuple.FixedKey[K]] struct {
+	it btree.Iter[K]
 }
 
 func (s *btreeBatch[K]) nextBatch(dst []tuple.Tuple) int {
@@ -175,24 +170,23 @@ func (s *btreeBatch[K]) nextBatch(dst []tuple.Tuple) int {
 		if !ok {
 			return i
 		}
-		s.fromKey(k, dst[i])
+		w := k.ToWords()
+		copy(dst[i], w[:])
 	}
 	return len(dst)
 }
 
-// prefixBounds builds the lower and upper bound patterns of a prefix search:
+// prefixBounds builds the lower and upper bound keys of a prefix search:
 // encoded positions 0..k-1 carry the fixed values, the rest range over the
 // whole 32-bit domain.
-func prefixBounds(pattern tuple.Tuple, k, arity int) (lo, hi tuple.Tuple) {
-	lo = make(tuple.Tuple, arity)
-	hi = make(tuple.Tuple, arity)
-	copy(lo, pattern[:k])
-	copy(hi, pattern[:k])
-	for i := k; i < arity; i++ {
-		lo[i] = 0
-		hi[i] = ^value.Value(0)
+func prefixBounds[K tuple.FixedKey[K]](pattern tuple.Tuple, k int) (lo, hi K) {
+	var lw, hw tuple.Words
+	copy(lw[:], pattern[:k])
+	copy(hw[:], pattern[:k])
+	for i := k; i < len(hw); i++ {
+		hw[i] = ^value.Value(0)
 	}
-	return lo, hi
+	return lo.FromWords(lw), hi.FromWords(hw)
 }
 
 func orderEq(a, b tuple.Order) bool {

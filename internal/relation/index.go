@@ -13,8 +13,9 @@
 // Two access paths exist, matching the paper's §4.1 ablation:
 //
 //   - the *dynamic adapter* path: every operation goes through the Index
-//     interface with []Value tuples, and scans go through a 128-entry
-//     buffered iterator that amortizes interface-call overhead (§3);
+//     interface with []Value tuples, and scans go through a buffered
+//     iterator that amortizes interface-call overhead over batches of up
+//     to 128 tuples (§3), starting small so short probes stay cheap;
 //   - the *static* path: the interpreter's generated specialized
 //     instructions type-assert the concrete tree out of the adapter and
 //     operate on it with fixed-arity array tuples and concrete iterators
@@ -66,7 +67,7 @@ func (r Rep) String() string {
 
 // MaxArity is the largest relation arity with pre-instantiated specialized
 // structures. The paper observed up to 16 in practice (§3).
-const MaxArity = 16
+const MaxArity = tuple.MaxArity
 
 // Iterator enumerates tuples. Next returns ok=false when exhausted. The
 // yielded slice may be reused by subsequent Next calls on the same iterator;
@@ -153,37 +154,56 @@ type Index interface {
 // by the interpreter's generated specialized instructions.
 func Impl(idx Index) any { return idx.impl() }
 
-// BufferSize is the batch width of the buffered iterator (paper §3).
+// BufferSize is the widest batch of the buffered iterator (paper §3).
 const BufferSize = 128
 
+// firstBatch is the buffered iterator's first batch width.
+const firstBatch = 8
+
 // buffered amortizes dynamic-dispatch cost: one nextBatch interface call
-// refills BufferSize tuples. Returned tuples point into the buffer and stay
-// valid until the buffer is next refilled, i.e. for at least BufferSize
-// subsequent Next calls — long enough for any nested-loop consumer that
-// reads the tuple before advancing this iterator again.
+// fills a batch of tuples. The first batch holds firstBatch tuples, so a
+// short probe (most prefix scans return zero or one tuple) does not pay
+// for BufferSize slots; each batch that comes back full doubles the next,
+// up to BufferSize, where long scans keep the paper's one virtual call per
+// 128 tuples.
+//
+// Returned tuples point into the buffer and stay valid until their buffer
+// is next refilled — long enough for any nested-loop consumer that reads
+// the tuple before advancing this iterator again. Each growth step fills a
+// fresh buffer, so only a BufferSize buffer is ever refilled in place.
 type buffered struct {
 	src   batcher
+	arity int
 	slots []tuple.Tuple
 	n     int // filled
 	i     int // next to yield
 	done  bool
 }
 
-// newBuffered wraps src in a BufferSize-entry buffer for tuples of the given
-// arity.
+// newBuffered wraps src in a growing buffer for tuples of the given arity.
+// The first buffer is allocated by the first Next.
 func newBuffered(src batcher, arity int) *buffered {
-	b := &buffered{src: src, slots: make([]tuple.Tuple, BufferSize)}
-	backing := make([]value.Value, BufferSize*arity)
+	return &buffered{src: src, arity: arity}
+}
+
+// grow replaces the slots with a fresh buffer twice as wide (firstBatch
+// for the first), capped at BufferSize.
+func (b *buffered) grow() {
+	size := min(max(2*len(b.slots), firstBatch), BufferSize)
+	b.slots = make([]tuple.Tuple, size)
+	backing := make([]value.Value, size*b.arity)
 	for i := range b.slots {
-		b.slots[i] = backing[i*arity : (i+1)*arity : (i+1)*arity]
+		b.slots[i] = backing[i*b.arity : (i+1)*b.arity : (i+1)*b.arity]
 	}
-	return b
 }
 
 func (b *buffered) Next() (tuple.Tuple, bool) {
 	if b.i >= b.n {
 		if b.done {
 			return nil, false
+		}
+		if len(b.slots) < BufferSize {
+			b.grow()
 		}
 		b.n = b.src.nextBatch(b.slots)
 		b.i = 0

@@ -5,6 +5,7 @@ import (
 
 	"sti/internal/metrics"
 	"sti/internal/tuple"
+	"sti/internal/value"
 )
 
 // hotPathAllocs measures the steady-state duplicate-insert and membership
@@ -96,6 +97,27 @@ func TestAdapterCountersAllReps(t *testing.T) {
 		}
 		if rs.Inserts != 1 || rs.DedupHits != 1 {
 			t.Errorf("%v: relation ins=%d dup=%d, want 1 and 1", rep, rs.Inserts, rs.DedupHits)
+		}
+	}
+}
+
+// TestBTreeAdapterHotPathAllocs pins the dynamic adapter's allocation-free
+// hot path: encoding a tuple into its fixed-arity key keeps the buffer on
+// the stack, so a duplicate Insert and a Contains allocate nothing at every
+// arity.
+func TestBTreeAdapterHotPathAllocs(t *testing.T) {
+	for _, arity := range []int{1, 2, 3, MaxArity} {
+		idx := newBTreeIndex(tuple.Identity(arity))
+		tup := make(tuple.Tuple, arity)
+		for i := range tup {
+			tup[i] = value.Value(i + 1)
+		}
+		idx.Insert(tup)
+		if a := testing.AllocsPerRun(100, func() { idx.Insert(tup) }); a != 0 {
+			t.Errorf("arity %d: Insert allocates %.1f per call", arity, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { idx.Contains(tup) }); a != 0 {
+			t.Errorf("arity %d: Contains allocates %.1f per call", arity, a)
 		}
 	}
 }

@@ -3,26 +3,11 @@
 package relation
 
 import (
-	"sti/internal/btree"
 	"sti/internal/tuple"
-	"sti/internal/value"
 )
 
 // Tup1 is the fixed-arity key type for arity-1 B-tree indexes.
-type Tup1 [1]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup1) Cmp(b Tup1) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup1 = tuple.Tup1
 
 // ToTup1 converts a dynamic tuple (first 1 elements) to a key.
 func ToTup1(t tuple.Tuple) Tup1 {
@@ -37,20 +22,7 @@ func FromTup1(k Tup1, t tuple.Tuple) {
 }
 
 // Tup2 is the fixed-arity key type for arity-2 B-tree indexes.
-type Tup2 [2]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup2) Cmp(b Tup2) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup2 = tuple.Tup2
 
 // ToTup2 converts a dynamic tuple (first 2 elements) to a key.
 func ToTup2(t tuple.Tuple) Tup2 {
@@ -65,20 +37,7 @@ func FromTup2(k Tup2, t tuple.Tuple) {
 }
 
 // Tup3 is the fixed-arity key type for arity-3 B-tree indexes.
-type Tup3 [3]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup3) Cmp(b Tup3) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup3 = tuple.Tup3
 
 // ToTup3 converts a dynamic tuple (first 3 elements) to a key.
 func ToTup3(t tuple.Tuple) Tup3 {
@@ -93,20 +52,7 @@ func FromTup3(k Tup3, t tuple.Tuple) {
 }
 
 // Tup4 is the fixed-arity key type for arity-4 B-tree indexes.
-type Tup4 [4]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup4) Cmp(b Tup4) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup4 = tuple.Tup4
 
 // ToTup4 converts a dynamic tuple (first 4 elements) to a key.
 func ToTup4(t tuple.Tuple) Tup4 {
@@ -121,20 +67,7 @@ func FromTup4(k Tup4, t tuple.Tuple) {
 }
 
 // Tup5 is the fixed-arity key type for arity-5 B-tree indexes.
-type Tup5 [5]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup5) Cmp(b Tup5) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup5 = tuple.Tup5
 
 // ToTup5 converts a dynamic tuple (first 5 elements) to a key.
 func ToTup5(t tuple.Tuple) Tup5 {
@@ -149,20 +82,7 @@ func FromTup5(k Tup5, t tuple.Tuple) {
 }
 
 // Tup6 is the fixed-arity key type for arity-6 B-tree indexes.
-type Tup6 [6]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup6) Cmp(b Tup6) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup6 = tuple.Tup6
 
 // ToTup6 converts a dynamic tuple (first 6 elements) to a key.
 func ToTup6(t tuple.Tuple) Tup6 {
@@ -177,20 +97,7 @@ func FromTup6(k Tup6, t tuple.Tuple) {
 }
 
 // Tup7 is the fixed-arity key type for arity-7 B-tree indexes.
-type Tup7 [7]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup7) Cmp(b Tup7) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup7 = tuple.Tup7
 
 // ToTup7 converts a dynamic tuple (first 7 elements) to a key.
 func ToTup7(t tuple.Tuple) Tup7 {
@@ -205,20 +112,7 @@ func FromTup7(k Tup7, t tuple.Tuple) {
 }
 
 // Tup8 is the fixed-arity key type for arity-8 B-tree indexes.
-type Tup8 [8]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup8) Cmp(b Tup8) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup8 = tuple.Tup8
 
 // ToTup8 converts a dynamic tuple (first 8 elements) to a key.
 func ToTup8(t tuple.Tuple) Tup8 {
@@ -233,20 +127,7 @@ func FromTup8(k Tup8, t tuple.Tuple) {
 }
 
 // Tup9 is the fixed-arity key type for arity-9 B-tree indexes.
-type Tup9 [9]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup9) Cmp(b Tup9) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup9 = tuple.Tup9
 
 // ToTup9 converts a dynamic tuple (first 9 elements) to a key.
 func ToTup9(t tuple.Tuple) Tup9 {
@@ -261,20 +142,7 @@ func FromTup9(k Tup9, t tuple.Tuple) {
 }
 
 // Tup10 is the fixed-arity key type for arity-10 B-tree indexes.
-type Tup10 [10]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup10) Cmp(b Tup10) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup10 = tuple.Tup10
 
 // ToTup10 converts a dynamic tuple (first 10 elements) to a key.
 func ToTup10(t tuple.Tuple) Tup10 {
@@ -289,20 +157,7 @@ func FromTup10(k Tup10, t tuple.Tuple) {
 }
 
 // Tup11 is the fixed-arity key type for arity-11 B-tree indexes.
-type Tup11 [11]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup11) Cmp(b Tup11) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup11 = tuple.Tup11
 
 // ToTup11 converts a dynamic tuple (first 11 elements) to a key.
 func ToTup11(t tuple.Tuple) Tup11 {
@@ -317,20 +172,7 @@ func FromTup11(k Tup11, t tuple.Tuple) {
 }
 
 // Tup12 is the fixed-arity key type for arity-12 B-tree indexes.
-type Tup12 [12]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup12) Cmp(b Tup12) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup12 = tuple.Tup12
 
 // ToTup12 converts a dynamic tuple (first 12 elements) to a key.
 func ToTup12(t tuple.Tuple) Tup12 {
@@ -345,20 +187,7 @@ func FromTup12(k Tup12, t tuple.Tuple) {
 }
 
 // Tup13 is the fixed-arity key type for arity-13 B-tree indexes.
-type Tup13 [13]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup13) Cmp(b Tup13) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup13 = tuple.Tup13
 
 // ToTup13 converts a dynamic tuple (first 13 elements) to a key.
 func ToTup13(t tuple.Tuple) Tup13 {
@@ -373,20 +202,7 @@ func FromTup13(k Tup13, t tuple.Tuple) {
 }
 
 // Tup14 is the fixed-arity key type for arity-14 B-tree indexes.
-type Tup14 [14]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup14) Cmp(b Tup14) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup14 = tuple.Tup14
 
 // ToTup14 converts a dynamic tuple (first 14 elements) to a key.
 func ToTup14(t tuple.Tuple) Tup14 {
@@ -401,20 +217,7 @@ func FromTup14(k Tup14, t tuple.Tuple) {
 }
 
 // Tup15 is the fixed-arity key type for arity-15 B-tree indexes.
-type Tup15 [15]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup15) Cmp(b Tup15) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup15 = tuple.Tup15
 
 // ToTup15 converts a dynamic tuple (first 15 elements) to a key.
 func ToTup15(t tuple.Tuple) Tup15 {
@@ -429,20 +232,7 @@ func FromTup15(k Tup15, t tuple.Tuple) {
 }
 
 // Tup16 is the fixed-arity key type for arity-16 B-tree indexes.
-type Tup16 [16]value.Value
-
-// Cmp lexicographically compares two keys by unsigned bit-pattern order.
-func (a Tup16) Cmp(b Tup16) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+type Tup16 = tuple.Tup16
 
 // ToTup16 converts a dynamic tuple (first 16 elements) to a key.
 func ToTup16(t tuple.Tuple) Tup16 {
@@ -460,41 +250,38 @@ func FromTup16(k Tup16, t tuple.Tuple) {
 func newBTreeIndex(order tuple.Order) Index {
 	switch len(order) {
 	case 1:
-		return newBTreeAdapter[Tup1](order, ToTup1, FromTup1)
+		return newBTreeAdapter[Tup1](order)
 	case 2:
-		return newBTreeAdapter[Tup2](order, ToTup2, FromTup2)
+		return newBTreeAdapter[Tup2](order)
 	case 3:
-		return newBTreeAdapter[Tup3](order, ToTup3, FromTup3)
+		return newBTreeAdapter[Tup3](order)
 	case 4:
-		return newBTreeAdapter[Tup4](order, ToTup4, FromTup4)
+		return newBTreeAdapter[Tup4](order)
 	case 5:
-		return newBTreeAdapter[Tup5](order, ToTup5, FromTup5)
+		return newBTreeAdapter[Tup5](order)
 	case 6:
-		return newBTreeAdapter[Tup6](order, ToTup6, FromTup6)
+		return newBTreeAdapter[Tup6](order)
 	case 7:
-		return newBTreeAdapter[Tup7](order, ToTup7, FromTup7)
+		return newBTreeAdapter[Tup7](order)
 	case 8:
-		return newBTreeAdapter[Tup8](order, ToTup8, FromTup8)
+		return newBTreeAdapter[Tup8](order)
 	case 9:
-		return newBTreeAdapter[Tup9](order, ToTup9, FromTup9)
+		return newBTreeAdapter[Tup9](order)
 	case 10:
-		return newBTreeAdapter[Tup10](order, ToTup10, FromTup10)
+		return newBTreeAdapter[Tup10](order)
 	case 11:
-		return newBTreeAdapter[Tup11](order, ToTup11, FromTup11)
+		return newBTreeAdapter[Tup11](order)
 	case 12:
-		return newBTreeAdapter[Tup12](order, ToTup12, FromTup12)
+		return newBTreeAdapter[Tup12](order)
 	case 13:
-		return newBTreeAdapter[Tup13](order, ToTup13, FromTup13)
+		return newBTreeAdapter[Tup13](order)
 	case 14:
-		return newBTreeAdapter[Tup14](order, ToTup14, FromTup14)
+		return newBTreeAdapter[Tup14](order)
 	case 15:
-		return newBTreeAdapter[Tup15](order, ToTup15, FromTup15)
+		return newBTreeAdapter[Tup15](order)
 	case 16:
-		return newBTreeAdapter[Tup16](order, ToTup16, FromTup16)
+		return newBTreeAdapter[Tup16](order)
 	default:
 		panic("relation: arity not supported by the specialized B-tree factory")
 	}
 }
-
-// btreeImplOf recovers the concrete tree type name for diagnostics.
-var _ = btree.New[Tup1] // keep the btree import when templates change

@@ -2,73 +2,54 @@ package store
 
 import (
 	"bytes"
-	"sort"
+	"fmt"
 )
 
 // Cursor enumerates live keys of a table in ascending order over the
 // half-open range [lo, hi) (nil bounds are unbounded). It merges the
-// memtable snapshot and every segment, newest level winning on key ties,
-// and skips tombstoned keys. The yielded slice is only valid until the next
-// call to Next.
+// memtable and every segment, newest level winning on key ties, and skips
+// tombstoned keys. The yielded slice is only valid until the next call to
+// Next.
+//
+// A cursor reads the table's levels in place: the memtable's B-trees and
+// the segment list current at Range. Any writer-context call on its table
+// (an Insert or Delete that writes the memtable, Clear, Flush) invalidates it,
+// as a mutation invalidates a btree iterator. Next detects that and panics
+// rather than return a wrong answer; under the table's concurrency
+// contract readers finish before the next write, so it never fires.
 type Cursor struct {
-	srcs []cursorSrc // index 0 is newest (the memtable)
-	hi   []byte
+	t      *Table
+	writes uint64 // t.writes at Range
+	hi     []byte
+	mem    memIter    // nil when the memtable was empty
+	segs   []segLevel // newest first
+	segBuf [4]segLevel
 }
 
-// cursorSrc is one sorted level positioned at its next candidate.
-type cursorSrc struct {
-	mem  []memEnt // memtable level when non-nil
-	seg  *segment // segment level otherwise
-	i, n int
+// segLevel is one segment positioned at its next candidate entry.
+type segLevel struct {
+	g *segment
+	i int
 }
 
-func (s *cursorSrc) key() []byte {
-	if s.mem != nil {
-		return []byte(s.mem[s.i].key)
-	}
-	return s.seg.key(s.i)
-}
-
-// keyView avoids the []byte(string) copy for comparisons.
-func (s *cursorSrc) cmp(other []byte) int {
-	if s.mem != nil {
-		return bytes.Compare([]byte(s.mem[s.i].key), other)
-	}
-	return bytes.Compare(s.seg.key(s.i), other)
-}
-
-func (s *cursorSrc) op() byte {
-	if s.mem != nil {
-		return s.mem[s.i].op
-	}
-	return s.seg.op(s.i)
-}
-
-// Range returns a cursor over [lo, hi). The cursor captures an immutable
-// view: the memtable's sorted snapshot and the current segment list.
+// Range returns a cursor over [lo, hi). A bound may be shorter than a key
+// (a prefix), but not longer.
 func (t *Table) Range(lo, hi []byte) *Cursor {
-	t.mu.Lock()
-	ents := t.sortedLocked()
-	segs := append([]*segment(nil), t.segs...)
-	t.mu.Unlock()
-
-	c := &Cursor{hi: hi}
-	// Newest first: memtable, then segments newest → oldest.
-	memStart := 0
-	if lo != nil {
-		memStart = sort.Search(len(ents), func(i int) bool { return ents[i].key >= string(lo) })
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	c := &Cursor{t: t, writes: t.writes, hi: hi}
+	if t.mem.len() > 0 {
+		c.mem = t.mem.iter(t.words(lo))
 	}
-	if memStart < len(ents) {
-		c.srcs = append(c.srcs, cursorSrc{mem: ents, i: memStart, n: len(ents)})
-	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		g := segs[i]
+	c.segs = c.segBuf[:0]
+	for i := len(t.segs) - 1; i >= 0; i-- {
+		g := t.segs[i]
 		start := 0
 		if lo != nil {
 			start, _ = g.search(lo)
 		}
 		if start < g.count {
-			c.srcs = append(c.srcs, cursorSrc{seg: g, i: start, n: g.count})
+			c.segs = append(c.segs, segLevel{g: g, i: start})
 		}
 	}
 	return c
@@ -76,43 +57,50 @@ func (t *Table) Range(lo, hi []byte) *Cursor {
 
 // Next yields the next live key in range, or ok=false when exhausted.
 func (c *Cursor) Next() ([]byte, bool) {
+	if c.writes != c.t.writes {
+		panic(fmt.Sprintf("store: cursor on table %s used after a write to the table", c.t.name))
+	}
 	for {
-		// Find the minimal key across sources; the first (newest) source
-		// holding it decides the op. The source count is small (memtable +
-		// a compacted handful of segments), so a linear sweep beats heap
+		// Find the minimal key across levels; the first (newest) level
+		// holding it decides the op. The level count is small (memtable + a
+		// compacted handful of segments), so a linear sweep beats heap
 		// bookkeeping.
-		win := -1
-		var winKey []byte
-		for si := range c.srcs {
-			s := &c.srcs[si]
-			if s.i >= s.n {
+		var memKey, win []byte
+		var op byte
+		found := false
+		if c.mem != nil {
+			memKey, op, found = c.mem.peek()
+			win = memKey
+		}
+		for si := range c.segs {
+			s := &c.segs[si]
+			if s.i >= s.g.count {
 				continue
 			}
-			if win < 0 {
-				win, winKey = si, s.key()
-				continue
-			}
-			if d := s.cmp(winKey); d < 0 {
-				win, winKey = si, s.key()
+			if k := s.g.key(s.i); !found || bytes.Compare(k, win) < 0 {
+				win, op, found = k, s.g.op(s.i), true
 			}
 		}
-		if win < 0 {
+		if !found {
 			return nil, false
 		}
-		if c.hi != nil && bytes.Compare(winKey, c.hi) >= 0 {
+		if c.hi != nil && bytes.Compare(win, c.hi) >= 0 {
 			return nil, false
 		}
-		op := c.srcs[win].op()
-		// Advance every source positioned at the winning key (shadowed
-		// older entries are consumed together with the winner).
-		for si := range c.srcs {
-			s := &c.srcs[si]
-			if s.i < s.n && s.cmp(winKey) == 0 {
+		// Advance every level positioned at the winning key (shadowed older
+		// entries are consumed together with the winner). Advancing the
+		// memtable leaves memKey's bytes intact until its next peek.
+		if memKey != nil && bytes.Equal(memKey, win) {
+			c.mem.advance()
+		}
+		for si := range c.segs {
+			s := &c.segs[si]
+			if s.i < s.g.count && bytes.Equal(s.g.key(s.i), win) {
 				s.i++
 			}
 		}
 		if op == opSet {
-			return winKey, true
+			return win, true
 		}
 	}
 }

@@ -149,19 +149,18 @@ func writeSegment(path string, keyLen int, src entrySource) (count int, err erro
 		return 0, err
 	}
 	crc := crc32.NewIEEE()
+	ent := make([]byte, keyLen+1) // one entry: key || op
 	for {
 		key, op, ok := src.next()
 		if !ok {
 			break
 		}
-		if _, err = w.Write(key); err != nil {
+		copy(ent, key)
+		ent[keyLen] = op
+		if _, err = w.Write(ent); err != nil {
 			return 0, err
 		}
-		if err = w.WriteByte(op); err != nil {
-			return 0, err
-		}
-		crc.Write(key)
-		crc.Write([]byte{op})
+		crc.Write(ent)
 		count++
 	}
 	var foot [4]byte

@@ -5,6 +5,14 @@
 // encoding from internal/tuple, so point lookups, prefix scans, and range
 // partitioning all run as byte comparisons directly on mapped files.
 //
+// The memtable is internal/btree instantiated per arity over the
+// fixed-arity key types (tuple.Tup1..Tup16) that the relation layer's
+// B-tree indexes use, so it is ordered at all times: reads, cursors and
+// flushes never sort. Cursors read it in place; a write to a table
+// invalidates that table's cursors, as a mutation invalidates a btree
+// iterator, and a stale cursor panics rather than answer from the changed
+// tree (see Cursor).
+//
 // The store holds only the *indexes* (a rebuildable cache, wiped on open);
 // durability itself comes from the write-ahead log and snapshot files the
 // db layer maintains with the CreateWAL/ReplayWAL and WriteSnapshot/
@@ -17,6 +25,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"sti/internal/tuple"
 )
 
 // Options tune a store. Zero values select the defaults.
@@ -121,6 +131,7 @@ func (s *Store) Options() Options { return s.opts }
 
 // Table returns the named table, creating its directory on first use. Names
 // must be unique per (relation, order); the relation layer derives them.
+// keyLen must be tuple.KeySize(n) for an arity n in 1..tuple.MaxArity.
 func (s *Store) Table(name string, keyLen int) (*Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -133,11 +144,16 @@ func (s *Store) Table(name string, keyLen int) (*Table, error) {
 		}
 		return t, nil
 	}
+	mem := newMemtable(keyLen)
+	if mem == nil {
+		return nil, fmt.Errorf("store: table %s: keyLen %d is not the key width of a tuple of arity 1..%d",
+			name, keyLen, tuple.MaxArity)
+	}
 	td := filepath.Join(s.dir, TablesDir, name)
 	if err := os.MkdirAll(td, 0o755); err != nil {
 		return nil, err
 	}
-	t := newTable(s, name, td, keyLen)
+	t := newTable(s, name, td, keyLen, mem)
 	s.tables[name] = t
 	return t, nil
 }

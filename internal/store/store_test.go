@@ -8,7 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
+
+	"sti/internal/tuple"
 )
 
 func key4(v uint32) []byte {
@@ -28,56 +31,92 @@ func openTest(t *testing.T, opts Options) *Store {
 }
 
 // TestTableAgainstMap drives a table with a random op mix and checks every
-// observable (membership, size, full-range and sub-range cursors) against a
-// plain map, with a flush threshold small enough to exercise segments,
-// tombstone shadowing, and compaction swaps.
+// observable (membership, size, full-range, sub-range and prefix cursors)
+// against a plain map sorted with bytes.Compare, with a flush threshold
+// small enough to exercise segments, tombstone shadowing, and compaction
+// swaps. The arity-3 run draws words that straddle byte boundaries, so the
+// memtable's fixed-arity key order must agree with the segments' byte
+// order.
 func TestTableAgainstMap(t *testing.T) {
+	t.Run("width4", func(t *testing.T) {
+		testTableAgainstMap(t, 4, func(rng *rand.Rand) []byte {
+			return key4(uint32(rng.Intn(512)))
+		})
+	})
+	t.Run("width12", func(t *testing.T) {
+		words := []uint32{0, 1, 0xfe, 0xff, 0x100, 0x101, 0xffff, 0x10000,
+			0xffffff, 0x1000000, 0xfffffffe, 0xffffffff}
+		testTableAgainstMap(t, 12, func(rng *rand.Rand) []byte {
+			return tuple.EncodedKey(tuple.Tuple{
+				words[rng.Intn(len(words))], words[rng.Intn(len(words))], words[rng.Intn(len(words))],
+			})
+		})
+	})
+}
+
+func testTableAgainstMap(t *testing.T, keyLen int, gen func(*rand.Rand) []byte) {
 	s := openTest(t, Options{FlushKeys: 64, MaxSegments: 2})
-	tab, err := s.Table("r", 4)
+	tab, err := s.Table("r", keyLen)
 	if err != nil {
 		t.Fatalf("Table: %v", err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	model := map[uint32]bool{}
+	model := map[string]bool{}
+	// checkRange compares a cursor over [lo, hi) with the model.
+	checkRange := func(step int, lo, hi []byte) {
+		t.Helper()
+		var want []string
+		for k := range model {
+			if (lo == nil || k >= string(lo)) && (hi == nil || k < string(hi)) {
+				want = append(want, k)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return bytes.Compare([]byte(want[i]), []byte(want[j])) < 0 })
+		cur := tab.Range(lo, hi)
+		for i, w := range want {
+			k, ok := cur.Next()
+			if !ok {
+				t.Fatalf("step %d [%x, %x): cursor ended at %d, want %d keys", step, lo, hi, i, len(want))
+			}
+			if !bytes.Equal(k, []byte(w)) {
+				t.Fatalf("step %d [%x, %x): cursor[%d]=%x want %x", step, lo, hi, i, k, w)
+			}
+		}
+		if k, ok := cur.Next(); ok {
+			t.Fatalf("step %d [%x, %x): cursor yielded extra key %x", step, lo, hi, k)
+		}
+	}
 	check := func(step int) {
 		t.Helper()
 		if got := tab.Len(); got != len(model) {
 			t.Fatalf("step %d: Len=%d want %d", step, got, len(model))
 		}
-		want := make([]uint32, 0, len(model))
-		for v := range model {
-			want = append(want, v)
+		checkRange(step, nil, nil)
+		lo, hi := gen(rng), gen(rng)
+		if bytes.Compare(lo, hi) > 0 {
+			lo, hi = hi, lo
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		cur := tab.Range(nil, nil)
-		for i, v := range want {
-			k, ok := cur.Next()
-			if !ok {
-				t.Fatalf("step %d: cursor ended at %d, want %d keys", step, i, len(want))
-			}
-			if got := binary.BigEndian.Uint32(k); got != v {
-				t.Fatalf("step %d: cursor[%d]=%d want %d", step, i, got, v)
-			}
-		}
-		if _, ok := cur.Next(); ok {
-			t.Fatalf("step %d: cursor yielded extra key", step)
-		}
+		checkRange(step, lo, hi)
+		checkRange(step, lo, nil)
+		// A prefix scan: the bounds are shorter than a key.
+		p := lo[:tuple.KeyWidth]
+		checkRange(step, p, tuple.PrefixSuccessor(p))
 	}
 	for step := 0; step < 4000; step++ {
-		v := uint32(rng.Intn(512))
+		k := gen(rng)
 		if rng.Intn(3) == 0 {
-			if got := tab.Delete(key4(v)); got != model[v] {
-				t.Fatalf("step %d: Delete(%d)=%v want %v", step, v, got, model[v])
+			if got := tab.Delete(k); got != model[string(k)] {
+				t.Fatalf("step %d: Delete(%x)=%v want %v", step, k, got, model[string(k)])
 			}
-			delete(model, v)
+			delete(model, string(k))
 		} else {
-			if got := tab.Insert(key4(v)); got == model[v] {
-				t.Fatalf("step %d: Insert(%d)=%v want %v", step, v, got, !model[v])
+			if got := tab.Insert(k); got == model[string(k)] {
+				t.Fatalf("step %d: Insert(%x)=%v want %v", step, k, got, !model[string(k)])
 			}
-			model[v] = true
+			model[string(k)] = true
 		}
-		if c := tab.Contains(key4(v)); c != model[v] {
-			t.Fatalf("step %d: Contains(%d)=%v want %v", step, v, c, model[v])
+		if c := tab.Contains(k); c != model[string(k)] {
+			t.Fatalf("step %d: Contains(%x)=%v want %v", step, k, c, model[string(k)])
 		}
 		if step%251 == 0 {
 			check(step)
@@ -85,33 +124,82 @@ func TestTableAgainstMap(t *testing.T) {
 	}
 	check(-1)
 
-	// Sub-range cursor.
-	lo, hi := key4(100), key4(300)
-	var want []uint32
-	for v := range model {
-		if v >= 100 && v < 300 {
-			want = append(want, v)
-		}
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	cur := tab.Range(lo, hi)
-	for _, v := range want {
-		k, ok := cur.Next()
-		if !ok || binary.BigEndian.Uint32(k) != v {
-			t.Fatalf("range cursor: got %v/%v want %d", k, ok, v)
-		}
-	}
-	if _, ok := cur.Next(); ok {
-		t.Fatal("range cursor overran hi bound")
-	}
-
 	// Clear drops everything, including on-disk runs.
 	tab.Clear()
-	if tab.Len() != 0 || tab.Contains(key4(1)) {
+	if tab.Len() != 0 || tab.Contains(gen(rng)) {
 		t.Fatal("Clear left live keys")
 	}
 	if _, ok := tab.Range(nil, nil).Next(); ok {
 		t.Fatal("Clear left cursor-visible keys")
+	}
+}
+
+// TestTableRejectsForeignKeyWidth checks that a table is only created for
+// the key width of a tuple the memtable has a fixed-arity key type for.
+func TestTableRejectsForeignKeyWidth(t *testing.T) {
+	s := openTest(t, Options{})
+	for _, keyLen := range []int{0, 3, 5, tuple.KeySize(tuple.MaxArity + 1)} {
+		if _, err := s.Table(fmt.Sprintf("r%d", keyLen), keyLen); err == nil {
+			t.Errorf("Table with keyLen %d succeeded", keyLen)
+		}
+	}
+}
+
+// TestCursorAfterWritePanics pins the cursor contract: a cursor reads the
+// memtable in place, so every writer-context call on its table invalidates
+// it, and using it afterwards panics instead of yielding a wrong answer.
+// Reads and no-op writes leave it valid.
+func TestCursorAfterWritePanics(t *testing.T) {
+	writes := map[string]func(*Table){
+		"insert": func(tab *Table) { tab.Insert(key4(1000)) },
+		"delete": func(tab *Table) { tab.Delete(key4(3)) },
+		"clear":  func(tab *Table) { tab.Clear() },
+		"flush":  func(tab *Table) { tab.Flush() },
+	}
+	for name, write := range writes {
+		t.Run(name, func(t *testing.T) {
+			s := openTest(t, Options{FlushKeys: 1 << 20})
+			tab, _ := s.Table("r", 4)
+			for i := 0; i < 10; i++ {
+				tab.Insert(key4(uint32(i)))
+			}
+			cur := tab.Range(nil, nil)
+			if k, ok := cur.Next(); !ok || binary.BigEndian.Uint32(k) != 0 {
+				t.Fatalf("first key %x/%v", k, ok)
+			}
+			// Lookups, other cursors and writes that change nothing are not
+			// writes to the table.
+			tab.Contains(key4(5))
+			tab.Range(key4(4), nil).Next()
+			tab.Insert(key4(5))
+			tab.Delete(key4(500))
+			if k, ok := cur.Next(); !ok || binary.BigEndian.Uint32(k) != 1 {
+				t.Fatalf("second key %x/%v", k, ok)
+			}
+			write(tab)
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), "used after a write") {
+					t.Fatalf("Next after %s: recovered %v, want the stale-cursor panic", name, r)
+				}
+			}()
+			cur.Next()
+		})
+	}
+}
+
+// TestTableHotPathAllocs pins the allocation-free point operations: a
+// lookup and a duplicate insert decode the key on the stack.
+func TestTableHotPathAllocs(t *testing.T) {
+	s := openTest(t, Options{})
+	tab, _ := s.Table("r", 8)
+	k := tuple.EncodedKey(tuple.Tuple{1, 2})
+	tab.Insert(k)
+	if a := testing.AllocsPerRun(100, func() { tab.Contains(k) }); a != 0 {
+		t.Errorf("Contains allocates %.1f per call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { tab.Insert(k) }); a != 0 {
+		t.Errorf("duplicate Insert allocates %.1f per call", a)
 	}
 }
 
@@ -319,8 +407,10 @@ func TestSnapshotRoundTripAndAtomicity(t *testing.T) {
 func TestSegmentRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg.seg")
-	ents := []memEnt{{string(key4(1)), opSet}, {string(key4(2)), opSet}}
-	if _, err := writeSegment(path, 4, &memSource{ents: ents}); err != nil {
+	mem := newMemtable(4)
+	mem.put(tuple.Words{1}, opSet)
+	mem.put(tuple.Words{2}, opSet)
+	if _, err := writeSegment(path, 4, &memSource{it: mem.iter(tuple.Words{})}); err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
 	if g, err := openSegment(path); err != nil {
@@ -338,18 +428,61 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 }
 
 func TestSampleKeysPartitions(t *testing.T) {
-	s := openTest(t, Options{FlushKeys: 256})
-	tab, _ := s.Table("r", 4)
-	for i := 0; i < 1000; i++ {
-		tab.Insert(key4(uint32(i * 3)))
-	}
-	seps := tab.SampleKeys(4)
-	if len(seps) == 0 {
-		t.Fatal("no separators for 1000-key table")
-	}
-	for i := 1; i < len(seps); i++ {
-		if bytes.Compare(seps[i-1], seps[i]) >= 0 {
-			t.Fatalf("separators not ascending: %v", seps)
-		}
+	for _, tc := range []struct {
+		name      string
+		flushKeys int
+		segments  bool
+	}{
+		{"segments", 256, true},
+		{"memtable", 1 << 20, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTest(t, Options{FlushKeys: tc.flushKeys})
+			tab, _ := s.Table("r", 4)
+			for i := 0; i < 1000; i++ {
+				tab.Insert(key4(uint32(i * 3)))
+			}
+			// Tombstones in the memtable are not live keys to split at.
+			for i := 0; i < 1000; i += 7 {
+				tab.Delete(key4(uint32(i * 3)))
+			}
+			if got := tab.Segments() > 0; got != tc.segments {
+				t.Fatalf("Segments()=%d, want segments=%v", tab.Segments(), tc.segments)
+			}
+			seps := tab.SampleKeys(4)
+			if len(seps) == 0 || len(seps) > 3 {
+				t.Fatalf("SampleKeys(4) returned %d separators for a %d-key table", len(seps), tab.Len())
+			}
+			for i := 1; i < len(seps); i++ {
+				if bytes.Compare(seps[i-1], seps[i]) >= 0 {
+					t.Fatalf("separators not ascending: %x", seps)
+				}
+			}
+			// The partitions cover every live key exactly once, in order.
+			var lo []byte
+			var got []uint32
+			for i := 0; i <= len(seps); i++ {
+				var hi []byte
+				if i < len(seps) {
+					hi = seps[i]
+				}
+				cur := tab.Range(lo, hi)
+				for k, ok := cur.Next(); ok; k, ok = cur.Next() {
+					got = append(got, binary.BigEndian.Uint32(k))
+				}
+				lo = hi
+			}
+			if len(got) != tab.Len() {
+				t.Fatalf("partitions yielded %d keys, table has %d", len(got), tab.Len())
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i-1] >= got[i] {
+					t.Fatalf("partitions out of order at %d: %d then %d", i, got[i-1], got[i])
+				}
+			}
+			if tab.SampleKeys(1) != nil {
+				t.Fatal("SampleKeys(1) split the table")
+			}
+		})
 	}
 }

@@ -5,23 +5,27 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
+
+	"sti/internal/tuple"
 )
 
 // Table is one durable keyspace: an LSM-style stack of an in-memory
 // memtable over immutable sorted segment runs. Keys are fixed-width
-// order-preserving encodings (internal/tuple codec), so all searches —
-// point, prefix, and range — are byte comparisons.
+// order-preserving encodings (internal/tuple codec) of tuples of one arity,
+// so all searches — point, prefix, and range — are byte comparisons on
+// segments, and the memtable is an internal/btree instantiation over the
+// arity's fixed key type.
 //
 // Concurrency contract (the de-specialization layer's): one writer at a
 // time mutates (Insert/Delete/Clear/Flush), any number of readers may run
 // point lookups and cursors concurrently with each other, and readers never
-// overlap a writer (the engine's epoch guard serializes them). Background
-// compaction is the one true concurrent mutator; it only swaps the segment
-// list under the table lock, and retired segments stay mapped until a
-// writer-context safe point, so live cursors never lose their backing
-// bytes.
+// overlap a writer (the engine's epoch guard serializes them). A cursor
+// reads the memtable in place, so a write to its table invalidates it, as a
+// mutation invalidates a btree iterator; the table detects a cursor used
+// after a write and panics (see Cursor). Background compaction is the one
+// true concurrent mutator; it only swaps the segment list under the table
+// lock, and retired segments stay mapped until a writer-context safe point.
 type Table struct {
 	store  *Store
 	name   string
@@ -29,25 +33,22 @@ type Table struct {
 	keyLen int
 
 	mu   sync.RWMutex
-	mem  map[string]byte // key → op (opSet/opDel)
-	srt  []memEnt        // sorted snapshot of mem; nil when stale
-	segs []*segment      // oldest first
-	live int             // exact number of live keys
-	seq  uint64          // next segment file number
-	gen  uint64          // bumped by Clear; stale compactions discard
+	mem  memtable   // newest level: keys written since the last flush
+	segs []*segment // oldest first
+	live int        // exact number of live keys
+	seq  uint64     // next segment file number
+	gen  uint64     // bumped by Clear; stale compactions discard
+	// writes counts writer-context mutations; a cursor records it and
+	// refuses to run once it has moved.
+	writes uint64
 	// compacting marks an in-flight background merge; retired segments are
 	// only unmapped when it is false (the compactor may still read them).
 	compacting bool
 	retired    []*segment
 }
 
-type memEnt struct {
-	key string
-	op  byte
-}
-
-func newTable(s *Store, name, dir string, keyLen int) *Table {
-	return &Table{store: s, name: name, dir: dir, keyLen: keyLen, mem: map[string]byte{}}
+func newTable(s *Store, name, dir string, keyLen int, mem memtable) *Table {
+	return &Table{store: s, name: name, dir: dir, keyLen: keyLen, mem: mem}
 }
 
 // Name returns the table's registered name.
@@ -72,34 +73,44 @@ func (t *Table) Segments() int {
 
 // Insert adds a key, reporting whether it was not live before. The writer
 // contract applies.
+//
+// The memtable insert doubles as its lookup, so the common insert descends
+// the memtable once. A key found live only in a segment keeps the memtable
+// entry the insert left: it shadows an identical live entry, so it changes
+// no answer, and flushes and compactions fold it away.
 func (t *Table) Insert(key []byte) bool {
+	w := t.words(key)
 	t.mu.Lock()
-	if t.containsLocked(key) {
+	prev, had := t.mem.put(w, opSet)
+	if had && prev == opSet {
 		t.mu.Unlock()
 		return false
 	}
-	t.mem[string(key)] = opSet
-	t.srt = nil
-	t.live++
-	full := len(t.mem) >= t.store.opts.FlushKeys
+	t.writes++
+	added := had || !t.segsLiveLocked(key)
+	if added {
+		t.live++
+	}
+	full := t.mem.len() >= t.store.opts.FlushKeys
 	t.mu.Unlock()
 	if full {
 		t.Flush()
 	}
-	return true
+	return added
 }
 
 // Delete removes a key, reporting whether it was live.
 func (t *Table) Delete(key []byte) bool {
+	w := t.words(key)
 	t.mu.Lock()
-	if !t.containsLocked(key) {
+	if !t.containsLocked(key, w) {
 		t.mu.Unlock()
 		return false
 	}
-	t.mem[string(key)] = opDel
-	t.srt = nil
+	t.mem.put(w, opDel)
+	t.writes++
 	t.live--
-	full := len(t.mem) >= t.store.opts.FlushKeys
+	full := t.mem.len() >= t.store.opts.FlushKeys
 	t.mu.Unlock()
 	if full {
 		t.Flush()
@@ -109,15 +120,37 @@ func (t *Table) Delete(key []byte) bool {
 
 // Contains reports whether key is live.
 func (t *Table) Contains(key []byte) bool {
+	w := t.words(key)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.containsLocked(key)
+	return t.containsLocked(key, w)
 }
 
-func (t *Table) containsLocked(key []byte) bool {
-	if op, ok := t.mem[string(key)]; ok {
+// words decodes key into the memtable's key form. A bound shorter than a
+// key (a prefix) is padded with zero words: the least key it precedes.
+func (t *Table) words(key []byte) (w tuple.Words) {
+	n := t.keyLen / tuple.KeyWidth
+	if len(key) == t.keyLen {
+		tuple.DecodeKey(w[:n], key)
+		return w
+	}
+	var full [tuple.MaxArity * tuple.KeyWidth]byte
+	copy(full[:], key)
+	tuple.DecodeKey(w[:n], full[:])
+	return w
+}
+
+// containsLocked reports whether key, decoded in w, is live.
+func (t *Table) containsLocked(key []byte, w tuple.Words) bool {
+	if op, ok := t.mem.get(w); ok {
 		return op == opSet
 	}
+	return t.segsLiveLocked(key)
+}
+
+// segsLiveLocked reports whether key is live in the segments, ignoring the
+// memtable.
+func (t *Table) segsLiveLocked(key []byte) bool {
 	for i := len(t.segs) - 1; i >= 0; i-- {
 		if op, ok := t.segs[i].find(key); ok {
 			return op == opSet
@@ -132,8 +165,8 @@ func (t *Table) containsLocked(key []byte) bool {
 // are swept at the next writer-context safe point.
 func (t *Table) Clear() {
 	t.mu.Lock()
-	t.mem = map[string]byte{}
-	t.srt = nil
+	t.mem.reset()
+	t.writes++
 	t.retired = append(t.retired, t.segs...)
 	t.segs = nil
 	t.live = 0
@@ -155,33 +188,18 @@ func (t *Table) sweepLocked() {
 	t.retired = nil
 }
 
-// sortedLocked returns the ascending snapshot of the memtable, rebuilding
-// the cache if a write invalidated it. Cursors hold the returned slice; it
-// is never mutated in place.
-func (t *Table) sortedLocked() []memEnt {
-	if t.srt == nil {
-		ents := make([]memEnt, 0, len(t.mem))
-		for k, op := range t.mem {
-			ents = append(ents, memEnt{k, op})
-		}
-		sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
-		t.srt = ents
-	}
-	return t.srt
-}
-
-// Flush writes the memtable to a new segment and clears it. A flush of an
-// empty memtable is a no-op. Tombstones are dropped when no older run could
-// resurrect the key. Writer context only.
+// Flush streams the memtable, in key order, to a new segment and clears it.
+// A flush of an empty memtable is a no-op. Tombstones are dropped when no
+// older run could resurrect the key. Writer context only.
 func (t *Table) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.writes++
 	t.sweepLocked()
-	if len(t.mem) == 0 {
+	if t.mem.len() == 0 {
 		return nil
 	}
-	ents := t.sortedLocked()
-	src := &memSource{ents: ents, dropDels: len(t.segs) == 0}
+	src := &memSource{it: t.mem.iter(tuple.Words{}), dropDels: len(t.segs) == 0}
 	path := filepath.Join(t.dir, fmt.Sprintf("seg-%08d.seg", t.seq))
 	n, err := writeSegment(path, t.keyLen, src)
 	if err != nil {
@@ -192,8 +210,7 @@ func (t *Table) Flush() error {
 	t.store.fsyncs.Add(1)
 	if n == 0 {
 		os.Remove(path)
-		t.mem = map[string]byte{}
-		t.srt = nil
+		t.mem.reset()
 		return nil
 	}
 	g, err := openSegment(path)
@@ -201,32 +218,12 @@ func (t *Table) Flush() error {
 		return fmt.Errorf("store: reopen flushed %s: %w", t.name, err)
 	}
 	t.segs = append(t.segs, g)
-	t.mem = map[string]byte{}
-	t.srt = nil
+	t.mem.reset()
 	if len(t.segs) > t.store.opts.MaxSegments && !t.compacting {
 		t.compacting = true
 		t.store.scheduleCompact(t)
 	}
 	return nil
-}
-
-// memSource streams a sorted memtable snapshot to the segment writer.
-type memSource struct {
-	ents     []memEnt
-	dropDels bool
-	i        int
-}
-
-func (m *memSource) next() ([]byte, byte, bool) {
-	for m.i < len(m.ents) {
-		e := m.ents[m.i]
-		m.i++
-		if m.dropDels && e.op == opDel {
-			continue
-		}
-		return []byte(e.key), e.op, true
-	}
-	return nil, 0, false
 }
 
 // SampleKeys returns up to n-1 ascending separator keys that split the
@@ -236,27 +233,24 @@ func (t *Table) SampleKeys(n int) [][]byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	// Sample the largest run: it dominates the key distribution.
-	var src interface {
-		at(i int) []byte
-		len() int
-	}
 	var best *segment
 	for _, g := range t.segs {
 		if best == nil || g.count > best.count {
 			best = g
 		}
 	}
-	if best != nil && best.count >= len(t.mem) {
-		src = segKeys{best}
-	} else {
-		src = memKeys(t.sortedLockedRO())
+	if best == nil || best.count < t.mem.len() {
+		if n <= 1 || t.mem.len() < 2*n {
+			return nil
+		}
+		return t.mem.separators(n)
 	}
-	if n <= 1 || src.len() < 2*n {
+	if n <= 1 || best.count < 2*n {
 		return nil
 	}
 	var out [][]byte
 	for i := 1; i < n; i++ {
-		k := src.at(i * src.len() / n)
+		k := best.key(i * best.count / n)
 		if len(out) > 0 && bytes.Equal(out[len(out)-1], k) {
 			continue
 		}
@@ -264,30 +258,6 @@ func (t *Table) SampleKeys(n int) [][]byte {
 	}
 	return out
 }
-
-// sortedLockedRO is the read-lock variant of sortedLocked: it cannot
-// install the cache, so it sorts a fresh snapshot when the cache is stale.
-func (t *Table) sortedLockedRO() []memEnt {
-	if t.srt != nil {
-		return t.srt
-	}
-	ents := make([]memEnt, 0, len(t.mem))
-	for k, op := range t.mem {
-		ents = append(ents, memEnt{k, op})
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
-	return ents
-}
-
-type segKeys struct{ g *segment }
-
-func (s segKeys) at(i int) []byte { return s.g.key(i) }
-func (s segKeys) len() int        { return s.g.count }
-
-type memKeys []memEnt
-
-func (m memKeys) at(i int) []byte { return []byte(m[i].key) }
-func (m memKeys) len() int        { return len(m) }
 
 func (t *Table) close() {
 	t.mu.Lock()
