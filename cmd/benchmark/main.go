@@ -38,7 +38,7 @@ func main() {
 	table := flag.String("table", "", "table to reproduce: 1")
 	all := flag.Bool("all", false, "run every experiment")
 	scaleFlag := flag.String("scale", "small", "workload scale: small | medium | large")
-	repeats := flag.Int("repeat", 1, "measurement repetitions (minimum is reported)")
+	repeats := flag.Int("repeat", 1, "measurement repetitions (minimum is reported; obsv reports the median of paired ratios)")
 	noLegacy := flag.Bool("no-legacy", false, "skip the slow legacy-interpreter runs in Fig 15")
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_<experiment>.json results")
 	flag.Parse()

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sort"
 	"time"
 
 	"sti"
@@ -45,111 +47,139 @@ func obsvShapeAt(scale bench.Scale) obsvShape {
 	}
 }
 
+// obsvLonger stretches the overhead measurement's stream beyond the shape the
+// persist benchmark shares: at small scale one variant's stream then takes
+// a few hundred milliseconds.
+const obsvLonger = 8
+
 // runObsv measures the end-to-end overhead of the observability layer: the
 // same apply+query stream runs against a plain database and one opened
 // WithObservability (histograms live, slow threshold armed but never
-// crossed). The minimum wall over repeats is reported per variant, and the
-// observed row's Ratio is observed/plain — the CI regression guard holds it
-// under the documented 2% budget (docs/OPERATIONS.md).
+// crossed). Each repeat opens both databases and interleaves them batch by
+// batch (ABAB, the first variant alternating per batch), so host noise and
+// drift land on both sides of a pair alike; it yields one paired ratio,
+// observed/plain total wall. The observed row's Ratio is the median of those
+// paired ratios (one untimed warm-up pair first) and each row's wall is its
+// median. The CI regression guard holds the ratio under the documented 2%
+// budget (docs/OPERATIONS.md) with -repeat 9.
 func runObsv(scale bench.Scale, repeats int, w io.Writer) ([]bench.BenchRecord, error) {
 	shape := obsvShapeAt(scale)
+	shape.batches *= obsvLonger
 	prog, err := sti.Parse(obsvSrc)
 	if err != nil {
 		return nil, err
 	}
-	variants := []struct {
-		name string
-		opts []sti.Option
-	}{
-		{"plain", nil},
-		{"observed", []sti.Option{sti.WithObservability(sti.ObservabilityConfig{
-			SlowRequest: time.Minute, // armed, never crossed: the realistic hot path
-		})}},
-	}
-	fmt.Fprintf(w, "observability overhead (scale=%s; %d base edges, %d batches of %d edges + %d queries each)\n",
-		scale, shape.components*(shape.chainLen-1), shape.batches, shape.batchSize, shape.queries)
+	observed := []sti.Option{sti.WithObservability(sti.ObservabilityConfig{
+		SlowRequest: time.Minute, // armed, never crossed: the realistic hot path
+	})}
+	pairs := max(repeats, 1)
+	fmt.Fprintf(w, "observability overhead (scale=%s; %d base edges, %d batches of %d edges + %d queries each; %d paired runs)\n",
+		scale, shape.components*(shape.chainLen-1), shape.batches, shape.batchSize, shape.queries, pairs)
 	fmt.Fprintf(w, "%-14s %12s %10s %8s\n", "variant", "wall", "tuples", "ratio")
 
-	walls := map[string]time.Duration{}
-	tuples := map[string]int{}
-	for rep := 0; rep < repeats || rep == 0; rep++ {
-		// Interleave variants within each repeat so machine drift hits both,
-		// and alternate the order so warm-up effects don't systematically
-		// favor whichever side runs second.
-		order := []int{0, 1}
-		if rep%2 == 1 {
-			order = []int{1, 0}
+	var plainWalls, obsWalls, ratios []float64
+	var tuples [2]int
+	for rep := -1; rep < pairs; rep++ {
+		walls, sizes, err := obsvPair(prog, shape, nil, observed)
+		if err != nil {
+			return nil, err
 		}
-		for _, vi := range order {
-			v := variants[vi]
-			wall, n, err := obsvStream(prog, shape, v.opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", v.name, err)
-			}
-			if cur, ok := walls[v.name]; !ok || wall < cur {
-				walls[v.name] = wall
-				tuples[v.name] = n
-			}
+		if sizes[0] != sizes[1] {
+			return nil, fmt.Errorf("obsv: tuple mismatch: plain=%d observed=%d", sizes[0], sizes[1])
 		}
+		tuples = sizes
+		if rep < 0 {
+			continue // warm-up
+		}
+		plainWalls = append(plainWalls, float64(walls[0]))
+		obsWalls = append(obsWalls, float64(walls[1]))
+		ratios = append(ratios, float64(walls[1])/float64(walls[0]))
 	}
-	if tuples["plain"] != tuples["observed"] {
-		return nil, fmt.Errorf("obsv: tuple mismatch: plain=%d observed=%d", tuples["plain"], tuples["observed"])
-	}
-	ratio := float64(walls["observed"]) / float64(walls["plain"])
+	ratio := median(ratios)
+	rows := []struct {
+		name  string
+		walls []float64
+	}{{"plain", plainWalls}, {"observed", obsWalls}}
 	var records []bench.BenchRecord
-	for _, v := range variants {
+	for i, row := range rows {
+		wall := time.Duration(median(row.walls))
 		r := bench.BenchRecord{
 			Workload: fmt.Sprintf("tc-%dx%d", shape.components, shape.chainLen),
-			Variant:  v.name,
-			WallNs:   walls[v.name].Nanoseconds(),
-			Tuples:   tuples[v.name],
+			Variant:  row.name,
+			WallNs:   wall.Nanoseconds(),
+			Tuples:   tuples[i],
 		}
-		if v.name == "observed" {
+		if row.name == "observed" {
 			r.Ratio = ratio
 		}
 		records = append(records, r)
 		fmt.Fprintf(w, "%-14s %12v %10d %8.3f\n",
-			r.Variant, walls[v.name].Round(time.Microsecond), r.Tuples, r.Ratio)
+			r.Variant, wall.Round(time.Microsecond), r.Tuples, r.Ratio)
 	}
+	sort.Float64s(ratios)
+	fmt.Fprintf(w, "paired ratios: min %.3f, median %.3f, max %.3f\n", ratios[0], ratio, ratios[len(ratios)-1])
 	return records, nil
+}
+
+// median returns the median of xs, averaging the middle two of an even
+// count. xs must not be empty; it is left unsorted.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// obsvPair runs the stream against two databases, opened with optsA and
+// optsB, interleaved batch by batch; which runs first alternates per batch.
+// It returns each side's total wall and final path size.
+func obsvPair(prog *sti.Program, shape obsvShape, optsA, optsB []sti.Option) ([2]time.Duration, [2]int, error) {
+	var walls [2]time.Duration
+	var sizes [2]int
+	var dbs [2]*sti.Database
+	for i, opts := range [][]sti.Option{optsA, optsB} {
+		db, err := obsvOpen(prog, shape, opts)
+		if err != nil {
+			return walls, sizes, err
+		}
+		defer db.Close()
+		dbs[i] = db
+	}
+	runtime.GC()
+	for bi := 0; bi < shape.batches; bi++ {
+		for j := 0; j < 2; j++ {
+			side := (bi + j) % 2
+			start := time.Now()
+			if err := obsvBatch(dbs[side], shape, bi); err != nil {
+				return walls, sizes, err
+			}
+			walls[side] += time.Since(start)
+		}
+	}
+	for i, db := range dbs {
+		n, err := db.Size("path")
+		if err != nil {
+			return walls, sizes, err
+		}
+		sizes[i] = n
+	}
+	return walls, sizes, nil
 }
 
 // obsvStream opens a database, loads the chain base (untimed), then times
 // the batch/query stream and returns the wall time and final path size.
 func obsvStream(prog *sti.Program, shape obsvShape, opts []sti.Option) (time.Duration, int, error) {
-	db, err := prog.Open(opts...)
+	db, err := obsvOpen(prog, shape, opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer db.Close()
-	base := db.NewBatch()
-	for c := 0; c < shape.components; c++ {
-		for i := 0; i < shape.chainLen-1; i++ {
-			base.Add("edge", c*obsvStride+i, c*obsvStride+i+1)
-		}
-	}
-	if err := db.Apply(base); err != nil {
-		return 0, 0, err
-	}
-
 	start := time.Now()
 	for bi := 0; bi < shape.batches; bi++ {
-		b := db.NewBatch()
-		for j := 0; j < shape.batchSize; j++ {
-			k := bi*shape.batchSize + j
-			c := k % shape.components
-			ext := k / shape.components
-			tail := c*obsvStride + shape.chainLen - 1 + ext
-			b.Add("edge", tail, tail+1)
-		}
-		if err := db.Apply(b); err != nil {
+		if err := obsvBatch(db, shape, bi); err != nil {
 			return 0, 0, err
-		}
-		for q := 0; q < shape.queries; q++ {
-			c := (bi*shape.queries + q) % shape.components
-			if _, err := db.Query("path", c*obsvStride, nil); err != nil {
-				return 0, 0, err
-			}
 		}
 	}
 	elapsed := time.Since(start)
@@ -158,4 +188,46 @@ func obsvStream(prog *sti.Program, shape obsvShape, opts []sti.Option) (time.Dur
 		return 0, 0, err
 	}
 	return elapsed, n, nil
+}
+
+// obsvOpen opens a database and applies the chain base.
+func obsvOpen(prog *sti.Program, shape obsvShape, opts []sti.Option) (*sti.Database, error) {
+	db, err := prog.Open(opts...)
+	if err != nil {
+		return nil, err
+	}
+	base := db.NewBatch()
+	for c := 0; c < shape.components; c++ {
+		for i := 0; i < shape.chainLen-1; i++ {
+			base.Add("edge", c*obsvStride+i, c*obsvStride+i+1)
+		}
+	}
+	if err := db.Apply(base); err != nil {
+		db.Close()
+		return nil, err
+	}
+	return db, nil
+}
+
+// obsvBatch applies batch bi of chain extensions, then runs its point
+// queries.
+func obsvBatch(db *sti.Database, shape obsvShape, bi int) error {
+	b := db.NewBatch()
+	for j := 0; j < shape.batchSize; j++ {
+		k := bi*shape.batchSize + j
+		c := k % shape.components
+		ext := k / shape.components
+		tail := c*obsvStride + shape.chainLen - 1 + ext
+		b.Add("edge", tail, tail+1)
+	}
+	if err := db.Apply(b); err != nil {
+		return err
+	}
+	for q := 0; q < shape.queries; q++ {
+		c := (bi*shape.queries + q) % shape.components
+		if _, err := db.Query("path", c*obsvStride, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -7,7 +7,7 @@ import (
 
 // genCompile emits the closure compiler's typed dispatch: one function per
 // builder kind that type-switches the concrete B-tree instance and calls
-// the generic builder with the matching arity's conversion glue. This is
+// the generic builder at the matching arity's key type. This is
 // the compile-time analog of the interpreter's specialized opcodes: the
 // dispatch happens once while compiling the program, never at execution.
 func genCompile() []byte {
@@ -33,31 +33,31 @@ func badImpl(impl any) string {
 
 	b.WriteString("\nfunc buildScanBT(impl any, tid int32, body opFn) opFn {\n\tswitch tree := impl.(type) {\n")
 	for n := 1; n <= maxArity; n++ {
-		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeScanBT(tree, relation.FromTup%d, tid, body)\n", n, n)
+		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeScanBT(tree, tid, body)\n", n)
 	}
 	b.WriteString("\t}\n\tpanic(badImpl(impl))\n}\n")
 
 	b.WriteString("\nfunc buildIndexScanBT(impl any, tid, arity int32, pat []exprFn, body opFn) opFn {\n\tswitch tree := impl.(type) {\n")
 	for n := 1; n <= maxArity; n++ {
-		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeIndexScanBT(tree, relation.ToTup%d, relation.FromTup%d, tid, arity, pat, body)\n", n, n, n)
+		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeIndexScanBT(tree, tid, arity, pat, body)\n", n)
 	}
 	b.WriteString("\t}\n\tpanic(badImpl(impl))\n}\n")
 
 	b.WriteString("\nfunc buildInsertBT(impls []any, orders []tuple.Order, arity int32, exprs []exprFn) opFn {\n\tswitch impls[0].(type) {\n")
 	for n := 1; n <= maxArity; n++ {
-		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeInsertBT(impls, orders, relation.ToTup%d, arity, exprs)\n", n, n)
+		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeInsertBT[relation.Tup%d](impls, orders, arity, exprs)\n", n, n)
 	}
 	b.WriteString("\t}\n\tpanic(badImpl(impls[0]))\n}\n")
 
 	b.WriteString("\nfunc buildExistsBT(impl any, arity int32, pat []exprFn) condFn {\n\tswitch tree := impl.(type) {\n")
 	for n := 1; n <= maxArity; n++ {
-		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeExistsBT(tree, relation.ToTup%d, arity, pat)\n", n, n)
+		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeExistsBT(tree, arity, pat)\n", n)
 	}
 	b.WriteString("\t}\n\tpanic(badImpl(impl))\n}\n")
 
 	b.WriteString("\nfunc buildAggregateBT(impl any, kind ram.AggKind, typ value.Type, tid, arity int32, pat []exprFn, cond condFn, target exprFn, body opFn) opFn {\n\tswitch tree := impl.(type) {\n")
 	for n := 1; n <= maxArity; n++ {
-		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeAggregateBT(tree, relation.ToTup%d, relation.FromTup%d, kind, typ, tid, arity, pat, cond, target, body)\n", n, n, n)
+		fmt.Fprintf(&b, "\tcase *btree.Tree[relation.Tup%d]:\n\t\treturn makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)\n", n)
 	}
 	b.WriteString("\t}\n\tpanic(badImpl(impl))\n}\n")
 

@@ -10,7 +10,8 @@ import (
 // tree type statically (paper §4.1, Figs 8-11). The emitted helpers are
 // called from the interpreter's switch; each helper type-asserts the
 // concrete *btree.Tree[TupN] once and then runs allocation-free with
-// fixed-size array tuples and concrete iterators.
+// fixed-size array tuples and concrete iterators, converting keys through
+// TupN's own FromWords/ToWords methods.
 func genInterp() []byte {
 	var b bytes.Buffer
 	b.WriteString(`// Code generated by cmd/genspecialized; DO NOT EDIT.
@@ -18,9 +19,7 @@ func genInterp() []byte {
 package interp
 
 import (
-	"sti/internal/btree"
 	"sti/internal/relation"
-	"sti/internal/tuple"
 	"sti/internal/value"
 )
 
@@ -81,18 +80,13 @@ func (ex *executor) execSpecialized(n *inode, ctx *context) (value.Value, bool) 
 	}
 	for _, t := range tmpls {
 		for n := 1; n <= maxArity; n++ {
-			fmt.Fprintf(&b, "\tcase op%s%d:\n\t\treturn %s[relation.Tup%d](ex, n, ctx, relation.ToTup%d, relation.FromTup%d), true\n",
-				t.op, n, t.helper, n, n, n)
+			fmt.Fprintf(&b, "\tcase op%s%d:\n\t\treturn %s[relation.Tup%d](ex, n, ctx), true\n",
+				t.op, n, t.helper, n)
 		}
 	}
 	b.WriteString(`	}
 	return 0, false
 }
-
-var (
-	_ = btree.New[relation.Tup1]
-	_ tuple.Tuple
-)
 `)
 	return b.Bytes()
 }

@@ -19,37 +19,37 @@ func badImpl(impl any) string {
 func buildScanBT(impl any, tid int32, body opFn) opFn {
 	switch tree := impl.(type) {
 	case *btree.Tree[relation.Tup1]:
-		return makeScanBT(tree, relation.FromTup1, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup2]:
-		return makeScanBT(tree, relation.FromTup2, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup3]:
-		return makeScanBT(tree, relation.FromTup3, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup4]:
-		return makeScanBT(tree, relation.FromTup4, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup5]:
-		return makeScanBT(tree, relation.FromTup5, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup6]:
-		return makeScanBT(tree, relation.FromTup6, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup7]:
-		return makeScanBT(tree, relation.FromTup7, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup8]:
-		return makeScanBT(tree, relation.FromTup8, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup9]:
-		return makeScanBT(tree, relation.FromTup9, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup10]:
-		return makeScanBT(tree, relation.FromTup10, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup11]:
-		return makeScanBT(tree, relation.FromTup11, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup12]:
-		return makeScanBT(tree, relation.FromTup12, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup13]:
-		return makeScanBT(tree, relation.FromTup13, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup14]:
-		return makeScanBT(tree, relation.FromTup14, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup15]:
-		return makeScanBT(tree, relation.FromTup15, tid, body)
+		return makeScanBT(tree, tid, body)
 	case *btree.Tree[relation.Tup16]:
-		return makeScanBT(tree, relation.FromTup16, tid, body)
+		return makeScanBT(tree, tid, body)
 	}
 	panic(badImpl(impl))
 }
@@ -57,37 +57,37 @@ func buildScanBT(impl any, tid int32, body opFn) opFn {
 func buildIndexScanBT(impl any, tid, arity int32, pat []exprFn, body opFn) opFn {
 	switch tree := impl.(type) {
 	case *btree.Tree[relation.Tup1]:
-		return makeIndexScanBT(tree, relation.ToTup1, relation.FromTup1, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup2]:
-		return makeIndexScanBT(tree, relation.ToTup2, relation.FromTup2, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup3]:
-		return makeIndexScanBT(tree, relation.ToTup3, relation.FromTup3, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup4]:
-		return makeIndexScanBT(tree, relation.ToTup4, relation.FromTup4, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup5]:
-		return makeIndexScanBT(tree, relation.ToTup5, relation.FromTup5, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup6]:
-		return makeIndexScanBT(tree, relation.ToTup6, relation.FromTup6, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup7]:
-		return makeIndexScanBT(tree, relation.ToTup7, relation.FromTup7, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup8]:
-		return makeIndexScanBT(tree, relation.ToTup8, relation.FromTup8, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup9]:
-		return makeIndexScanBT(tree, relation.ToTup9, relation.FromTup9, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup10]:
-		return makeIndexScanBT(tree, relation.ToTup10, relation.FromTup10, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup11]:
-		return makeIndexScanBT(tree, relation.ToTup11, relation.FromTup11, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup12]:
-		return makeIndexScanBT(tree, relation.ToTup12, relation.FromTup12, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup13]:
-		return makeIndexScanBT(tree, relation.ToTup13, relation.FromTup13, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup14]:
-		return makeIndexScanBT(tree, relation.ToTup14, relation.FromTup14, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup15]:
-		return makeIndexScanBT(tree, relation.ToTup15, relation.FromTup15, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	case *btree.Tree[relation.Tup16]:
-		return makeIndexScanBT(tree, relation.ToTup16, relation.FromTup16, tid, arity, pat, body)
+		return makeIndexScanBT(tree, tid, arity, pat, body)
 	}
 	panic(badImpl(impl))
 }
@@ -95,37 +95,37 @@ func buildIndexScanBT(impl any, tid, arity int32, pat []exprFn, body opFn) opFn 
 func buildInsertBT(impls []any, orders []tuple.Order, arity int32, exprs []exprFn) opFn {
 	switch impls[0].(type) {
 	case *btree.Tree[relation.Tup1]:
-		return makeInsertBT(impls, orders, relation.ToTup1, arity, exprs)
+		return makeInsertBT[relation.Tup1](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup2]:
-		return makeInsertBT(impls, orders, relation.ToTup2, arity, exprs)
+		return makeInsertBT[relation.Tup2](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup3]:
-		return makeInsertBT(impls, orders, relation.ToTup3, arity, exprs)
+		return makeInsertBT[relation.Tup3](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup4]:
-		return makeInsertBT(impls, orders, relation.ToTup4, arity, exprs)
+		return makeInsertBT[relation.Tup4](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup5]:
-		return makeInsertBT(impls, orders, relation.ToTup5, arity, exprs)
+		return makeInsertBT[relation.Tup5](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup6]:
-		return makeInsertBT(impls, orders, relation.ToTup6, arity, exprs)
+		return makeInsertBT[relation.Tup6](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup7]:
-		return makeInsertBT(impls, orders, relation.ToTup7, arity, exprs)
+		return makeInsertBT[relation.Tup7](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup8]:
-		return makeInsertBT(impls, orders, relation.ToTup8, arity, exprs)
+		return makeInsertBT[relation.Tup8](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup9]:
-		return makeInsertBT(impls, orders, relation.ToTup9, arity, exprs)
+		return makeInsertBT[relation.Tup9](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup10]:
-		return makeInsertBT(impls, orders, relation.ToTup10, arity, exprs)
+		return makeInsertBT[relation.Tup10](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup11]:
-		return makeInsertBT(impls, orders, relation.ToTup11, arity, exprs)
+		return makeInsertBT[relation.Tup11](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup12]:
-		return makeInsertBT(impls, orders, relation.ToTup12, arity, exprs)
+		return makeInsertBT[relation.Tup12](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup13]:
-		return makeInsertBT(impls, orders, relation.ToTup13, arity, exprs)
+		return makeInsertBT[relation.Tup13](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup14]:
-		return makeInsertBT(impls, orders, relation.ToTup14, arity, exprs)
+		return makeInsertBT[relation.Tup14](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup15]:
-		return makeInsertBT(impls, orders, relation.ToTup15, arity, exprs)
+		return makeInsertBT[relation.Tup15](impls, orders, arity, exprs)
 	case *btree.Tree[relation.Tup16]:
-		return makeInsertBT(impls, orders, relation.ToTup16, arity, exprs)
+		return makeInsertBT[relation.Tup16](impls, orders, arity, exprs)
 	}
 	panic(badImpl(impls[0]))
 }
@@ -133,37 +133,37 @@ func buildInsertBT(impls []any, orders []tuple.Order, arity int32, exprs []exprF
 func buildExistsBT(impl any, arity int32, pat []exprFn) condFn {
 	switch tree := impl.(type) {
 	case *btree.Tree[relation.Tup1]:
-		return makeExistsBT(tree, relation.ToTup1, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup2]:
-		return makeExistsBT(tree, relation.ToTup2, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup3]:
-		return makeExistsBT(tree, relation.ToTup3, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup4]:
-		return makeExistsBT(tree, relation.ToTup4, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup5]:
-		return makeExistsBT(tree, relation.ToTup5, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup6]:
-		return makeExistsBT(tree, relation.ToTup6, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup7]:
-		return makeExistsBT(tree, relation.ToTup7, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup8]:
-		return makeExistsBT(tree, relation.ToTup8, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup9]:
-		return makeExistsBT(tree, relation.ToTup9, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup10]:
-		return makeExistsBT(tree, relation.ToTup10, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup11]:
-		return makeExistsBT(tree, relation.ToTup11, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup12]:
-		return makeExistsBT(tree, relation.ToTup12, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup13]:
-		return makeExistsBT(tree, relation.ToTup13, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup14]:
-		return makeExistsBT(tree, relation.ToTup14, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup15]:
-		return makeExistsBT(tree, relation.ToTup15, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	case *btree.Tree[relation.Tup16]:
-		return makeExistsBT(tree, relation.ToTup16, arity, pat)
+		return makeExistsBT(tree, arity, pat)
 	}
 	panic(badImpl(impl))
 }
@@ -171,37 +171,37 @@ func buildExistsBT(impl any, arity int32, pat []exprFn) condFn {
 func buildAggregateBT(impl any, kind ram.AggKind, typ value.Type, tid, arity int32, pat []exprFn, cond condFn, target exprFn, body opFn) opFn {
 	switch tree := impl.(type) {
 	case *btree.Tree[relation.Tup1]:
-		return makeAggregateBT(tree, relation.ToTup1, relation.FromTup1, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup2]:
-		return makeAggregateBT(tree, relation.ToTup2, relation.FromTup2, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup3]:
-		return makeAggregateBT(tree, relation.ToTup3, relation.FromTup3, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup4]:
-		return makeAggregateBT(tree, relation.ToTup4, relation.FromTup4, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup5]:
-		return makeAggregateBT(tree, relation.ToTup5, relation.FromTup5, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup6]:
-		return makeAggregateBT(tree, relation.ToTup6, relation.FromTup6, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup7]:
-		return makeAggregateBT(tree, relation.ToTup7, relation.FromTup7, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup8]:
-		return makeAggregateBT(tree, relation.ToTup8, relation.FromTup8, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup9]:
-		return makeAggregateBT(tree, relation.ToTup9, relation.FromTup9, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup10]:
-		return makeAggregateBT(tree, relation.ToTup10, relation.FromTup10, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup11]:
-		return makeAggregateBT(tree, relation.ToTup11, relation.FromTup11, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup12]:
-		return makeAggregateBT(tree, relation.ToTup12, relation.FromTup12, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup13]:
-		return makeAggregateBT(tree, relation.ToTup13, relation.FromTup13, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup14]:
-		return makeAggregateBT(tree, relation.ToTup14, relation.FromTup14, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup15]:
-		return makeAggregateBT(tree, relation.ToTup15, relation.FromTup15, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	case *btree.Tree[relation.Tup16]:
-		return makeAggregateBT(tree, relation.ToTup16, relation.FromTup16, kind, typ, tid, arity, pat, cond, target, body)
+		return makeAggregateBT(tree, kind, typ, tid, arity, pat, cond, target, body)
 	}
 	panic(badImpl(impl))
 }

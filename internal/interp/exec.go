@@ -99,36 +99,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		}
 		return 0
 	case opQuery:
-		qctx := newContext(n.widths)
-		if n.staged {
-			qctx.stage = make([]*relation.StagingBuffer, len(ex.eng.rels))
-		}
-		if ex.prov != nil {
-			prevQ := ex.curQ
-			ex.curQ = n
-			defer func() { ex.curQ = prevQ }()
-		}
-		qspan := ex.tel.Begin()
-		if ex.profile {
-			start := time.Now()
-			ex.eval(n.nested, qctx)
-			ex.flushStage(qctx)
-			rp := &ex.prof.rules[n.ruleID]
-			rp.RuleID = int(n.ruleID)
-			rp.Label = n.label
-			rp.Time += time.Since(start)
-			rp.Iterations += qctx.stats.iters
-			rp.Dispatches += qctx.stats.dispatches
-			rp.Inserts += qctx.stats.inserts
-			rp.Attempts += qctx.stats.attempts
-			ex.prof.dispatches += qctx.stats.dispatches
-			ex.prof.super += qctx.stats.super
-			ex.tel.End(qspan, "query", n.label)
-			return 0
-		}
-		ex.eval(n.nested, qctx)
-		ex.flushStage(qctx)
-		ex.tel.End(qspan, "query", n.label)
+		ex.execQuery(n)
 		return 0
 	case opClear:
 		n.rel.Clear()
@@ -207,7 +178,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			ex.eval(n.nested, ctx)
 		}
 	case opIndexScan:
-		var pat [relation.MaxArity]value.Value
+		pat := ctx.pats[n.tupleID]
 		ex.fillTuple(n, ctx, pat[:n.prefix])
 		it := n.idx.PrefixScan(pat[:n.arity], int(n.prefix))
 		if n.decode {
@@ -240,7 +211,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			}
 		}
 	case opIndexChoice:
-		var pat [relation.MaxArity]value.Value
+		pat := ctx.pats[n.tupleID]
 		ex.fillTuple(n, ctx, pat[:n.prefix])
 		it := n.idx.PrefixScan(pat[:n.arity], int(n.prefix))
 		if n.decode {
@@ -269,7 +240,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		}
 		return 0
 	case opInsert:
-		var t [relation.MaxArity]value.Value
+		t := ctx.term
 		ex.fillTuple(n, ctx, t[:n.arity])
 		if ex.stageInsert(n, ctx, t[:n.arity]) {
 			return 0
@@ -285,7 +256,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		return 0
 	case opAggregate, opIndexAggregate:
 		ctx.tuples[n.tupleID] = ctx.base[n.tupleID]
-		var pat [relation.MaxArity]value.Value
+		pat := ctx.pats[n.tupleID]
 		ex.fillTuple(n, ctx, pat[:n.prefix])
 		it := n.idx.PrefixScan(pat[:n.arity], int(n.prefix))
 		if n.decode {
@@ -310,8 +281,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 			acc.Step(v)
 		}
 		if res, ok := acc.Finish(); ok {
-			ctx.tuples[n.tupleID] = tuple.Tuple{res}
-			ex.eval(n.nested, ctx)
+			ex.bindAggregate(n, ctx, res)
 		}
 		return 0
 
@@ -332,7 +302,7 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		}
 		return 0
 	case opExists:
-		var pat [relation.MaxArity]value.Value
+		pat := ctx.term
 		ex.fillTuple(n, ctx, pat[:n.prefix])
 		if n.prefix == n.arity {
 			if n.idx.ContainsEncoded(pat[:n.arity]) {
@@ -372,6 +342,53 @@ func (ex *executor) execute(n *inode, ctx *context) value.Value {
 		return v
 	}
 	panic(fmt.Sprintf("interp: unknown opcode %d", n.op))
+}
+
+// execQuery runs one query with a fresh context. It holds the provenance
+// save and restore of curQ, whose defer would otherwise sit in execute and
+// make every return from every dispatch pay for it (the Go form of the
+// per-dispatch tax the paper's §4.3 removes); TestDispatchHasNoDefer keeps
+// execute and eval free of it.
+func (ex *executor) execQuery(n *inode) {
+	if ex.prov != nil {
+		prevQ := ex.curQ
+		ex.curQ = n
+		defer func() { ex.curQ = prevQ }()
+	}
+	qctx := newContext(n.widths, n.term)
+	if n.staged {
+		qctx.stage = make([]*relation.StagingBuffer, len(ex.eng.rels))
+	}
+	qspan := ex.tel.Begin()
+	if ex.profile {
+		start := time.Now()
+		ex.eval(n.nested, qctx)
+		ex.flushStage(qctx)
+		rp := &ex.prof.rules[n.ruleID]
+		rp.RuleID = int(n.ruleID)
+		rp.Label = n.label
+		rp.Time += time.Since(start)
+		rp.Iterations += qctx.stats.iters
+		rp.Dispatches += qctx.stats.dispatches
+		rp.Inserts += qctx.stats.inserts
+		rp.Attempts += qctx.stats.attempts
+		ex.prof.dispatches += qctx.stats.dispatches
+		ex.prof.super += qctx.stats.super
+		ex.tel.End(qspan, "query", n.label)
+		return
+	}
+	ex.eval(n.nested, qctx)
+	ex.flushStage(qctx)
+	ex.tel.End(qspan, "query", n.label)
+}
+
+// bindAggregate binds an aggregate's 1-tuple result in the aggregate's own
+// slot storage, so no tuple is allocated, and runs the nested operation.
+func (ex *executor) bindAggregate(n *inode, ctx *context, res value.Value) {
+	slot := ctx.base[n.tupleID][:1]
+	slot[0] = res
+	ctx.tuples[n.tupleID] = slot
+	ex.eval(n.nested, ctx)
 }
 
 // execLoopTelemetry is the telemetry variant of opLoop: it opens a fixpoint

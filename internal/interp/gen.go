@@ -24,6 +24,7 @@ type generator struct {
 	// coordinates.
 	coords     map[int32]tuple.Order
 	widths     map[int32]int32
+	term       int32           // widest insert or existence check of the query
 	prems      map[int32]int32 // tid -> base relation ID (provenance)
 	premExists []*inode        // positive full-bound existence checks (provenance)
 	negDepth   int
@@ -60,6 +61,7 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 	case *ram.Query:
 		g.coords = map[int32]tuple.Order{}
 		g.widths = map[int32]int32{}
+		g.term = 0
 		g.prems = map[int32]int32{}
 		g.premExists = nil
 		g.pendingParallel = g.cfg.Workers > 1 && s.Parallel
@@ -78,7 +80,7 @@ func (g *generator) genStatement(s ram.Statement) *inode {
 			premRels[tid] = rel
 		}
 		return &inode{
-			op: opQuery, nested: root, widths: widths, premRels: premRels,
+			op: opQuery, nested: root, widths: widths, term: g.term, premRels: premRels,
 			premExists: g.premExists, staged: g.sawParallel,
 			ruleID: int32(s.RuleID), label: s.Label, shadow: s,
 		}
@@ -322,6 +324,7 @@ func (g *generator) genOperation(o ram.Operation) *inode {
 			rstats: rel.Stats(),
 			shadow: o,
 		}
+		g.term = max(g.term, n.arity)
 		for i := 0; i < rel.NumIndexes(); i++ {
 			if subs, _ := relation.ShardImpls(rel.Index(i)); subs != nil {
 				// Sharded insert: impls is index-major (index i's shard s at
@@ -500,6 +503,7 @@ func (g *generator) genCond(c ram.Condition) *inode {
 		g.bindScanImpls(n, idx)
 		n.children, n.prefix = g.genPattern(c.Pattern, idx.Order())
 		g.applySuper(n)
+		g.term = max(g.term, n.arity)
 		if g.negDepth == 0 && n.prefix == n.arity && n.arity > 0 {
 			g.premExists = append(g.premExists, n)
 		}

@@ -137,6 +137,7 @@ type inode struct {
 	label  string
 	ruleID int32
 	widths []int32 // query: context tuple widths by tupleID
+	term   int32   // query: width of the context's terminal buffer
 	// provenance metadata: the insert target's base relation, the per-tid
 	// base relations of the query's scans (-1 = not a relation binding),
 	// and the query's positive fully-bound existence checks (whose matched
@@ -190,6 +191,17 @@ type context struct {
 	// aggregates shrink tuples[tid] to their 1-wide result and must restore
 	// the full slot before re-iterating.
 	base []tuple.Tuple
+	// pats holds the search pattern of the dynamic-adapter scan binding each
+	// tupleID, and term the tuple of the dynamic insert or existence check
+	// being evaluated (those are terminal, so one buffer serves them all).
+	// A stack array handed to relation.Index would escape and cost a heap
+	// allocation per probe; these are allocated with the context, sized by
+	// arity, and safe to reuse because no Index method keeps its tuple
+	// argument after it returns.
+	pats []tuple.Tuple
+	term tuple.Tuple
+	// widths are the slot widths by tupleID, kept for clone.
+	widths []int32
 	// stage holds this context's worker-local staging buffers, indexed by
 	// RAM relation ID, when the enclosing query defers inserts to the merge
 	// barrier (parallel evaluation). nil on the direct-insert path.
@@ -205,26 +217,37 @@ type context struct {
 // thread-local context copies for parallel workers). A staging context
 // clones to a staging context: each worker stages into its own buffers.
 func (ctx *context) clone() *context {
-	widths := make([]int32, len(ctx.base))
-	for i, t := range ctx.base {
-		widths[i] = int32(len(t))
-	}
-	c := newContext(widths)
+	c := newContext(ctx.widths, int32(len(ctx.term)))
 	if ctx.stage != nil {
 		c.stage = make([]*relation.StagingBuffer, len(ctx.stage))
 	}
 	return c
 }
 
-func newContext(widths []int32) *context {
+// newContext allocates a query context with slots of the given widths by
+// tupleID and a terminal buffer of width term. Slots, pattern buffers and
+// the terminal buffer share one backing array, so a query pays the same
+// three allocations however many tuples it binds.
+func newContext(widths []int32, term int32) *context {
+	n := int(term)
+	for _, w := range widths {
+		n += 2 * int(w)
+	}
+	vals := make([]value.Value, n)
+	slots := make([]tuple.Tuple, 3*len(widths))
 	ctx := &context{
-		tuples: make([]tuple.Tuple, len(widths)),
-		base:   make([]tuple.Tuple, len(widths)),
+		tuples: slots[:len(widths):len(widths)],
+		base:   slots[len(widths) : 2*len(widths) : 2*len(widths)],
+		pats:   slots[2*len(widths):],
+		widths: widths,
 	}
 	for i, w := range widths {
-		ctx.tuples[i] = make(tuple.Tuple, w)
+		ctx.tuples[i] = vals[:w:w]
 		ctx.base[i] = ctx.tuples[i]
+		ctx.pats[i] = vals[w : 2*w : 2*w]
+		vals = vals[2*w:]
 	}
+	ctx.term = vals
 	return ctx
 }
 

@@ -15,24 +15,24 @@ import (
 // generated dispatch in specialized_gen.go. Each helper type-asserts the
 // concrete structure once, then runs with stack-allocated fixed-size tuples,
 // concrete iterators, and no interface dispatch on the per-tuple path.
-
-type toKeyFn[K btree.Key[K]] func(tuple.Tuple) K
-
-type fromKeyFn[K btree.Key[K]] func(K, tuple.Tuple)
+// Keys convert through tuple.Words by value (K's FromWords/ToWords), so the
+// fixed-size buffers stay on the stack: `go build -gcflags=-m` reports no
+// "moved to heap" in this file, and CI keeps it that way.
 
 // evalInsertBT inserts a freshly built source tuple into every B-tree index
 // of the relation. Under a staged query the source tuple goes to the
 // worker-local buffer instead; the merge encodes per index.
-func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], _ fromKeyFn[K]) value.Value {
-	var src, enc [relation.MaxArity]value.Value
+func evalInsertBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	var src, enc tuple.Words
 	ex.fillTuple(n, ctx, src[:n.arity])
 	if ex.stageInsert(n, ctx, src[:n.arity]) {
 		return 0
 	}
 	added := false
+	var k K
 	for i, impl := range n.impls {
 		n.orders[i].Encode(enc[:n.arity], src[:n.arity])
-		if impl.(*btree.Tree[K]).Insert(toKey(enc[:n.arity])) && i == 0 {
+		if impl.(*btree.Tree[K]).Insert(k.FromWords(enc)) && i == 0 {
 			added = true
 		}
 	}
@@ -46,37 +46,38 @@ func evalInsertBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey to
 }
 
 // btRange prepares the concrete range iterator of a prefix search.
-func btRange[K btree.Key[K]](n *inode, pat []value.Value, toKey toKeyFn[K]) btree.Iter[K] {
-	return btRangeTree(n.impls[0].(*btree.Tree[K]), n, pat, toKey)
+func btRange[K tuple.FixedKey[K]](n *inode, pat *tuple.Words) btree.Iter[K] {
+	return btRangeTree(n.impls[0].(*btree.Tree[K]), n, pat)
 }
 
 // btRangeTree is btRange against an explicit tree, shared with the sharded
-// instruction forms (which pick the tree by partition hash first).
-func btRangeTree[K btree.Key[K]](tree *btree.Tree[K], n *inode, pat []value.Value, toKey toKeyFn[K]) btree.Iter[K] {
+// instruction forms (which pick the tree by partition hash first). The
+// first n.prefix words of pat are the bound values.
+func btRangeTree[K tuple.FixedKey[K]](tree *btree.Tree[K], n *inode, pat *tuple.Words) btree.Iter[K] {
 	if n.prefix == 0 {
 		return tree.Iter()
 	}
-	var lo, hi [relation.MaxArity]value.Value
-	copy(lo[:n.prefix], pat)
-	copy(hi[:n.prefix], pat)
+	lo, hi := *pat, *pat
 	for i := n.prefix; i < n.arity; i++ {
 		lo[i] = 0
 		hi[i] = ^value.Value(0)
 	}
-	return tree.Range(toKey(lo[:n.arity]), toKey(hi[:n.arity]))
+	var k K
+	return tree.Range(k.FromWords(lo), k.FromWords(hi))
 }
 
-func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], _ fromKeyFn[K]) value.Value {
+func evalExistsBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
 	tree := n.impls[0].(*btree.Tree[K])
-	var pat [relation.MaxArity]value.Value
+	var pat tuple.Words
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	switch {
 	case n.prefix == n.arity:
-		return boolVal(tree.Contains(toKey(pat[:n.arity])))
+		var k K
+		return boolVal(tree.Contains(k.FromWords(pat)))
 	case n.prefix == 0:
 		return boolVal(tree.Size() > 0)
 	default:
-		it := btRange[K](n, pat[:n.prefix], toKey)
+		it := btRange[K](n, &pat)
 		_, ok := it.Next()
 		return boolVal(ok)
 	}
@@ -84,53 +85,51 @@ func evalExistsBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey to
 
 // bindKey writes key k into the context slot for n.tupleID, decoding to
 // source coordinates when static reordering is off.
-func bindKey[K btree.Key[K]](n *inode, ctx *context, k K, fromKey fromKeyFn[K]) {
-	slot := ctx.tuples[n.tupleID]
+func bindKey[K tuple.FixedKey[K]](n *inode, ctx *context, k K) {
+	w := k.ToWords()
 	if n.decode {
-		var scratch [relation.MaxArity]value.Value
-		fromKey(k, scratch[:n.arity])
-		n.order.Decode(slot, scratch[:n.arity])
+		n.order.Decode(ctx.tuples[n.tupleID], w[:n.arity])
 		return
 	}
-	fromKey(k, slot)
+	copy(ctx.tuples[n.tupleID], w[:n.arity])
 }
 
-func evalScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+func evalScanBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
 	it := n.impls[0].(*btree.Tree[K]).Iter()
 	for {
 		k, ok := it.Next()
 		if !ok {
 			return 0
 		}
-		bindKey(n, ctx, k, fromKey)
+		bindKey(n, ctx, k)
 		ex.countIter(ctx)
 		ex.eval(n.nested, ctx)
 	}
 }
 
-func evalIndexScanBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
-	var pat [relation.MaxArity]value.Value
+func evalIndexScanBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	var pat tuple.Words
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	it := btRange[K](n, pat[:n.prefix], toKey)
+	it := btRange[K](n, &pat)
 	for {
 		k, ok := it.Next()
 		if !ok {
 			return 0
 		}
-		bindKey(n, ctx, k, fromKey)
+		bindKey(n, ctx, k)
 		ex.countIter(ctx)
 		ex.eval(n.nested, ctx)
 	}
 }
 
-func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
+func evalChoiceBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
 	it := n.impls[0].(*btree.Tree[K]).Iter()
 	for {
 		k, ok := it.Next()
 		if !ok {
 			return 0
 		}
-		bindKey(n, ctx, k, fromKey)
+		bindKey(n, ctx, k)
 		ex.countIter(ctx)
 		if n.cond == nil || ex.eval(n.cond, ctx) != 0 {
 			ex.eval(n.nested, ctx)
@@ -139,16 +138,16 @@ func evalChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyF
 	}
 }
 
-func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
-	var pat [relation.MaxArity]value.Value
+func evalIndexChoiceBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	var pat tuple.Words
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	it := btRange[K](n, pat[:n.prefix], toKey)
+	it := btRange[K](n, &pat)
 	for {
 		k, ok := it.Next()
 		if !ok {
 			return 0
 		}
-		bindKey(n, ctx, k, fromKey)
+		bindKey(n, ctx, k)
 		ex.countIter(ctx)
 		if n.cond == nil || ex.eval(n.cond, ctx) != 0 {
 			ex.eval(n.nested, ctx)
@@ -157,7 +156,7 @@ func evalIndexChoiceBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toK
 	}
 }
 
-func aggBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K], fromKey fromKeyFn[K]) value.Value {
+func aggBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K]) value.Value {
 	ctx.tuples[n.tupleID] = ctx.base[n.tupleID]
 	var acc aggAcc
 	acc.Init(ram.AggKind(n.a), value.Type(n.b))
@@ -166,7 +165,7 @@ func aggBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K
 		if !ok {
 			break
 		}
-		bindKey(n, ctx, k, fromKey)
+		bindKey(n, ctx, k)
 		ex.countIter(ctx)
 		if n.cond != nil && ex.eval(n.cond, ctx) == 0 {
 			continue
@@ -178,20 +177,19 @@ func aggBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, it btree.Iter[K
 		acc.Step(v)
 	}
 	if res, ok := acc.Finish(); ok {
-		ctx.tuples[n.tupleID] = tuple.Tuple{res}
-		ex.eval(n.nested, ctx)
+		ex.bindAggregate(n, ctx, res)
 	}
 	return 0
 }
 
-func evalAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, _ toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
-	return aggBT(ex, n, ctx, n.impls[0].(*btree.Tree[K]).Iter(), fromKey)
+func evalAggregateBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	return aggBT(ex, n, ctx, n.impls[0].(*btree.Tree[K]).Iter())
 }
 
-func evalIndexAggregateBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
-	var pat [relation.MaxArity]value.Value
+func evalIndexAggregateBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	var pat tuple.Words
 	ex.fillTuple(n, ctx, pat[:n.prefix])
-	return aggBT(ex, n, ctx, btRange[K](n, pat[:n.prefix], toKey), fromKey)
+	return aggBT(ex, n, ctx, btRange[K](n, &pat))
 }
 
 // execNonGeneric handles the handwritten specialized instructions for the

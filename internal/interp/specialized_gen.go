@@ -3,9 +3,7 @@
 package interp
 
 import (
-	"sti/internal/btree"
 	"sti/internal/relation"
-	"sti/internal/tuple"
 	"sti/internal/value"
 )
 
@@ -173,266 +171,261 @@ func specializedOp(generic opcode, arity int) (opcode, bool) {
 func (ex *executor) execSpecialized(n *inode, ctx *context) (value.Value, bool) {
 	switch n.op {
 	case opInsertBT1:
-		return evalInsertBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalInsertBT[relation.Tup1](ex, n, ctx), true
 	case opInsertBT2:
-		return evalInsertBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalInsertBT[relation.Tup2](ex, n, ctx), true
 	case opInsertBT3:
-		return evalInsertBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalInsertBT[relation.Tup3](ex, n, ctx), true
 	case opInsertBT4:
-		return evalInsertBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalInsertBT[relation.Tup4](ex, n, ctx), true
 	case opInsertBT5:
-		return evalInsertBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalInsertBT[relation.Tup5](ex, n, ctx), true
 	case opInsertBT6:
-		return evalInsertBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalInsertBT[relation.Tup6](ex, n, ctx), true
 	case opInsertBT7:
-		return evalInsertBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalInsertBT[relation.Tup7](ex, n, ctx), true
 	case opInsertBT8:
-		return evalInsertBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalInsertBT[relation.Tup8](ex, n, ctx), true
 	case opInsertBT9:
-		return evalInsertBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalInsertBT[relation.Tup9](ex, n, ctx), true
 	case opInsertBT10:
-		return evalInsertBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalInsertBT[relation.Tup10](ex, n, ctx), true
 	case opInsertBT11:
-		return evalInsertBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalInsertBT[relation.Tup11](ex, n, ctx), true
 	case opInsertBT12:
-		return evalInsertBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalInsertBT[relation.Tup12](ex, n, ctx), true
 	case opInsertBT13:
-		return evalInsertBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalInsertBT[relation.Tup13](ex, n, ctx), true
 	case opInsertBT14:
-		return evalInsertBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalInsertBT[relation.Tup14](ex, n, ctx), true
 	case opInsertBT15:
-		return evalInsertBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalInsertBT[relation.Tup15](ex, n, ctx), true
 	case opInsertBT16:
-		return evalInsertBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalInsertBT[relation.Tup16](ex, n, ctx), true
 	case opExistsBT1:
-		return evalExistsBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalExistsBT[relation.Tup1](ex, n, ctx), true
 	case opExistsBT2:
-		return evalExistsBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalExistsBT[relation.Tup2](ex, n, ctx), true
 	case opExistsBT3:
-		return evalExistsBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalExistsBT[relation.Tup3](ex, n, ctx), true
 	case opExistsBT4:
-		return evalExistsBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalExistsBT[relation.Tup4](ex, n, ctx), true
 	case opExistsBT5:
-		return evalExistsBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalExistsBT[relation.Tup5](ex, n, ctx), true
 	case opExistsBT6:
-		return evalExistsBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalExistsBT[relation.Tup6](ex, n, ctx), true
 	case opExistsBT7:
-		return evalExistsBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalExistsBT[relation.Tup7](ex, n, ctx), true
 	case opExistsBT8:
-		return evalExistsBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalExistsBT[relation.Tup8](ex, n, ctx), true
 	case opExistsBT9:
-		return evalExistsBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalExistsBT[relation.Tup9](ex, n, ctx), true
 	case opExistsBT10:
-		return evalExistsBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalExistsBT[relation.Tup10](ex, n, ctx), true
 	case opExistsBT11:
-		return evalExistsBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalExistsBT[relation.Tup11](ex, n, ctx), true
 	case opExistsBT12:
-		return evalExistsBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalExistsBT[relation.Tup12](ex, n, ctx), true
 	case opExistsBT13:
-		return evalExistsBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalExistsBT[relation.Tup13](ex, n, ctx), true
 	case opExistsBT14:
-		return evalExistsBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalExistsBT[relation.Tup14](ex, n, ctx), true
 	case opExistsBT15:
-		return evalExistsBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalExistsBT[relation.Tup15](ex, n, ctx), true
 	case opExistsBT16:
-		return evalExistsBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalExistsBT[relation.Tup16](ex, n, ctx), true
 	case opScanBT1:
-		return evalScanBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalScanBT[relation.Tup1](ex, n, ctx), true
 	case opScanBT2:
-		return evalScanBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalScanBT[relation.Tup2](ex, n, ctx), true
 	case opScanBT3:
-		return evalScanBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalScanBT[relation.Tup3](ex, n, ctx), true
 	case opScanBT4:
-		return evalScanBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalScanBT[relation.Tup4](ex, n, ctx), true
 	case opScanBT5:
-		return evalScanBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalScanBT[relation.Tup5](ex, n, ctx), true
 	case opScanBT6:
-		return evalScanBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalScanBT[relation.Tup6](ex, n, ctx), true
 	case opScanBT7:
-		return evalScanBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalScanBT[relation.Tup7](ex, n, ctx), true
 	case opScanBT8:
-		return evalScanBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalScanBT[relation.Tup8](ex, n, ctx), true
 	case opScanBT9:
-		return evalScanBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalScanBT[relation.Tup9](ex, n, ctx), true
 	case opScanBT10:
-		return evalScanBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalScanBT[relation.Tup10](ex, n, ctx), true
 	case opScanBT11:
-		return evalScanBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalScanBT[relation.Tup11](ex, n, ctx), true
 	case opScanBT12:
-		return evalScanBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalScanBT[relation.Tup12](ex, n, ctx), true
 	case opScanBT13:
-		return evalScanBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalScanBT[relation.Tup13](ex, n, ctx), true
 	case opScanBT14:
-		return evalScanBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalScanBT[relation.Tup14](ex, n, ctx), true
 	case opScanBT15:
-		return evalScanBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalScanBT[relation.Tup15](ex, n, ctx), true
 	case opScanBT16:
-		return evalScanBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalScanBT[relation.Tup16](ex, n, ctx), true
 	case opIndexScanBT1:
-		return evalIndexScanBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalIndexScanBT[relation.Tup1](ex, n, ctx), true
 	case opIndexScanBT2:
-		return evalIndexScanBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalIndexScanBT[relation.Tup2](ex, n, ctx), true
 	case opIndexScanBT3:
-		return evalIndexScanBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalIndexScanBT[relation.Tup3](ex, n, ctx), true
 	case opIndexScanBT4:
-		return evalIndexScanBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalIndexScanBT[relation.Tup4](ex, n, ctx), true
 	case opIndexScanBT5:
-		return evalIndexScanBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalIndexScanBT[relation.Tup5](ex, n, ctx), true
 	case opIndexScanBT6:
-		return evalIndexScanBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalIndexScanBT[relation.Tup6](ex, n, ctx), true
 	case opIndexScanBT7:
-		return evalIndexScanBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalIndexScanBT[relation.Tup7](ex, n, ctx), true
 	case opIndexScanBT8:
-		return evalIndexScanBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalIndexScanBT[relation.Tup8](ex, n, ctx), true
 	case opIndexScanBT9:
-		return evalIndexScanBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalIndexScanBT[relation.Tup9](ex, n, ctx), true
 	case opIndexScanBT10:
-		return evalIndexScanBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalIndexScanBT[relation.Tup10](ex, n, ctx), true
 	case opIndexScanBT11:
-		return evalIndexScanBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalIndexScanBT[relation.Tup11](ex, n, ctx), true
 	case opIndexScanBT12:
-		return evalIndexScanBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalIndexScanBT[relation.Tup12](ex, n, ctx), true
 	case opIndexScanBT13:
-		return evalIndexScanBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalIndexScanBT[relation.Tup13](ex, n, ctx), true
 	case opIndexScanBT14:
-		return evalIndexScanBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalIndexScanBT[relation.Tup14](ex, n, ctx), true
 	case opIndexScanBT15:
-		return evalIndexScanBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalIndexScanBT[relation.Tup15](ex, n, ctx), true
 	case opIndexScanBT16:
-		return evalIndexScanBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalIndexScanBT[relation.Tup16](ex, n, ctx), true
 	case opChoiceBT1:
-		return evalChoiceBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalChoiceBT[relation.Tup1](ex, n, ctx), true
 	case opChoiceBT2:
-		return evalChoiceBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalChoiceBT[relation.Tup2](ex, n, ctx), true
 	case opChoiceBT3:
-		return evalChoiceBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalChoiceBT[relation.Tup3](ex, n, ctx), true
 	case opChoiceBT4:
-		return evalChoiceBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalChoiceBT[relation.Tup4](ex, n, ctx), true
 	case opChoiceBT5:
-		return evalChoiceBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalChoiceBT[relation.Tup5](ex, n, ctx), true
 	case opChoiceBT6:
-		return evalChoiceBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalChoiceBT[relation.Tup6](ex, n, ctx), true
 	case opChoiceBT7:
-		return evalChoiceBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalChoiceBT[relation.Tup7](ex, n, ctx), true
 	case opChoiceBT8:
-		return evalChoiceBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalChoiceBT[relation.Tup8](ex, n, ctx), true
 	case opChoiceBT9:
-		return evalChoiceBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalChoiceBT[relation.Tup9](ex, n, ctx), true
 	case opChoiceBT10:
-		return evalChoiceBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalChoiceBT[relation.Tup10](ex, n, ctx), true
 	case opChoiceBT11:
-		return evalChoiceBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalChoiceBT[relation.Tup11](ex, n, ctx), true
 	case opChoiceBT12:
-		return evalChoiceBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalChoiceBT[relation.Tup12](ex, n, ctx), true
 	case opChoiceBT13:
-		return evalChoiceBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalChoiceBT[relation.Tup13](ex, n, ctx), true
 	case opChoiceBT14:
-		return evalChoiceBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalChoiceBT[relation.Tup14](ex, n, ctx), true
 	case opChoiceBT15:
-		return evalChoiceBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalChoiceBT[relation.Tup15](ex, n, ctx), true
 	case opChoiceBT16:
-		return evalChoiceBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalChoiceBT[relation.Tup16](ex, n, ctx), true
 	case opIndexChoiceBT1:
-		return evalIndexChoiceBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalIndexChoiceBT[relation.Tup1](ex, n, ctx), true
 	case opIndexChoiceBT2:
-		return evalIndexChoiceBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalIndexChoiceBT[relation.Tup2](ex, n, ctx), true
 	case opIndexChoiceBT3:
-		return evalIndexChoiceBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalIndexChoiceBT[relation.Tup3](ex, n, ctx), true
 	case opIndexChoiceBT4:
-		return evalIndexChoiceBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalIndexChoiceBT[relation.Tup4](ex, n, ctx), true
 	case opIndexChoiceBT5:
-		return evalIndexChoiceBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalIndexChoiceBT[relation.Tup5](ex, n, ctx), true
 	case opIndexChoiceBT6:
-		return evalIndexChoiceBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalIndexChoiceBT[relation.Tup6](ex, n, ctx), true
 	case opIndexChoiceBT7:
-		return evalIndexChoiceBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalIndexChoiceBT[relation.Tup7](ex, n, ctx), true
 	case opIndexChoiceBT8:
-		return evalIndexChoiceBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalIndexChoiceBT[relation.Tup8](ex, n, ctx), true
 	case opIndexChoiceBT9:
-		return evalIndexChoiceBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalIndexChoiceBT[relation.Tup9](ex, n, ctx), true
 	case opIndexChoiceBT10:
-		return evalIndexChoiceBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalIndexChoiceBT[relation.Tup10](ex, n, ctx), true
 	case opIndexChoiceBT11:
-		return evalIndexChoiceBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalIndexChoiceBT[relation.Tup11](ex, n, ctx), true
 	case opIndexChoiceBT12:
-		return evalIndexChoiceBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalIndexChoiceBT[relation.Tup12](ex, n, ctx), true
 	case opIndexChoiceBT13:
-		return evalIndexChoiceBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalIndexChoiceBT[relation.Tup13](ex, n, ctx), true
 	case opIndexChoiceBT14:
-		return evalIndexChoiceBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalIndexChoiceBT[relation.Tup14](ex, n, ctx), true
 	case opIndexChoiceBT15:
-		return evalIndexChoiceBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalIndexChoiceBT[relation.Tup15](ex, n, ctx), true
 	case opIndexChoiceBT16:
-		return evalIndexChoiceBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalIndexChoiceBT[relation.Tup16](ex, n, ctx), true
 	case opAggregateBT1:
-		return evalAggregateBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalAggregateBT[relation.Tup1](ex, n, ctx), true
 	case opAggregateBT2:
-		return evalAggregateBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalAggregateBT[relation.Tup2](ex, n, ctx), true
 	case opAggregateBT3:
-		return evalAggregateBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalAggregateBT[relation.Tup3](ex, n, ctx), true
 	case opAggregateBT4:
-		return evalAggregateBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalAggregateBT[relation.Tup4](ex, n, ctx), true
 	case opAggregateBT5:
-		return evalAggregateBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalAggregateBT[relation.Tup5](ex, n, ctx), true
 	case opAggregateBT6:
-		return evalAggregateBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalAggregateBT[relation.Tup6](ex, n, ctx), true
 	case opAggregateBT7:
-		return evalAggregateBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalAggregateBT[relation.Tup7](ex, n, ctx), true
 	case opAggregateBT8:
-		return evalAggregateBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalAggregateBT[relation.Tup8](ex, n, ctx), true
 	case opAggregateBT9:
-		return evalAggregateBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalAggregateBT[relation.Tup9](ex, n, ctx), true
 	case opAggregateBT10:
-		return evalAggregateBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalAggregateBT[relation.Tup10](ex, n, ctx), true
 	case opAggregateBT11:
-		return evalAggregateBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalAggregateBT[relation.Tup11](ex, n, ctx), true
 	case opAggregateBT12:
-		return evalAggregateBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalAggregateBT[relation.Tup12](ex, n, ctx), true
 	case opAggregateBT13:
-		return evalAggregateBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalAggregateBT[relation.Tup13](ex, n, ctx), true
 	case opAggregateBT14:
-		return evalAggregateBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalAggregateBT[relation.Tup14](ex, n, ctx), true
 	case opAggregateBT15:
-		return evalAggregateBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalAggregateBT[relation.Tup15](ex, n, ctx), true
 	case opAggregateBT16:
-		return evalAggregateBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalAggregateBT[relation.Tup16](ex, n, ctx), true
 	case opIndexAggregateBT1:
-		return evalIndexAggregateBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalIndexAggregateBT[relation.Tup1](ex, n, ctx), true
 	case opIndexAggregateBT2:
-		return evalIndexAggregateBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalIndexAggregateBT[relation.Tup2](ex, n, ctx), true
 	case opIndexAggregateBT3:
-		return evalIndexAggregateBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalIndexAggregateBT[relation.Tup3](ex, n, ctx), true
 	case opIndexAggregateBT4:
-		return evalIndexAggregateBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalIndexAggregateBT[relation.Tup4](ex, n, ctx), true
 	case opIndexAggregateBT5:
-		return evalIndexAggregateBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalIndexAggregateBT[relation.Tup5](ex, n, ctx), true
 	case opIndexAggregateBT6:
-		return evalIndexAggregateBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalIndexAggregateBT[relation.Tup6](ex, n, ctx), true
 	case opIndexAggregateBT7:
-		return evalIndexAggregateBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalIndexAggregateBT[relation.Tup7](ex, n, ctx), true
 	case opIndexAggregateBT8:
-		return evalIndexAggregateBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalIndexAggregateBT[relation.Tup8](ex, n, ctx), true
 	case opIndexAggregateBT9:
-		return evalIndexAggregateBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalIndexAggregateBT[relation.Tup9](ex, n, ctx), true
 	case opIndexAggregateBT10:
-		return evalIndexAggregateBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalIndexAggregateBT[relation.Tup10](ex, n, ctx), true
 	case opIndexAggregateBT11:
-		return evalIndexAggregateBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalIndexAggregateBT[relation.Tup11](ex, n, ctx), true
 	case opIndexAggregateBT12:
-		return evalIndexAggregateBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalIndexAggregateBT[relation.Tup12](ex, n, ctx), true
 	case opIndexAggregateBT13:
-		return evalIndexAggregateBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalIndexAggregateBT[relation.Tup13](ex, n, ctx), true
 	case opIndexAggregateBT14:
-		return evalIndexAggregateBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalIndexAggregateBT[relation.Tup14](ex, n, ctx), true
 	case opIndexAggregateBT15:
-		return evalIndexAggregateBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalIndexAggregateBT[relation.Tup15](ex, n, ctx), true
 	case opIndexAggregateBT16:
-		return evalIndexAggregateBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalIndexAggregateBT[relation.Tup16](ex, n, ctx), true
 	}
 	return 0, false
 }
-
-var (
-	_ = btree.New[relation.Tup1]
-	_ tuple.Tuple
-)

@@ -4,6 +4,7 @@ import (
 	"sti/internal/brie"
 	"sti/internal/btree"
 	"sti/internal/relation"
+	"sti/internal/tuple"
 	"sti/internal/value"
 )
 
@@ -75,8 +76,8 @@ func shardedOp(generic opcode, rep relation.Rep, arity int) (opcode, bool) {
 // evalInsertShBT routes a freshly built tuple to its owning shard by the
 // source key column and inserts it into that shard of every index. The impls
 // slice is laid out index-major: impls[i*shards+s] is index i's shard s.
-func evalInsertShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K]) value.Value {
-	var src, enc [relation.MaxArity]value.Value
+func evalInsertShBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	var src, enc tuple.Words
 	ex.fillTuple(n, ctx, src[:n.arity])
 	if ex.stageInsert(n, ctx, src[:n.arity]) {
 		return 0
@@ -84,9 +85,10 @@ func evalInsertShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey 
 	shards := len(n.impls) / len(n.orders)
 	sh := relation.ShardOf(src[n.b], shards)
 	added := false
+	var k K
 	for i, ord := range n.orders {
 		ord.Encode(enc[:n.arity], src[:n.arity])
-		if n.impls[i*shards+sh].(*btree.Tree[K]).Insert(toKey(enc[:n.arity])) && i == 0 {
+		if n.impls[i*shards+sh].(*btree.Tree[K]).Insert(k.FromWords(enc)) && i == 0 {
 			added = true
 		}
 	}
@@ -97,15 +99,16 @@ func evalInsertShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey 
 	return 0
 }
 
-func evalExistsShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K]) value.Value {
-	var pat [relation.MaxArity]value.Value
+func evalExistsShBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	var pat tuple.Words
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	if n.b < n.prefix {
 		tree := n.impls[relation.ShardOf(pat[n.b], len(n.impls))].(*btree.Tree[K])
 		if n.prefix == n.arity {
-			return boolVal(tree.Contains(toKey(pat[:n.arity])))
+			var k K
+			return boolVal(tree.Contains(k.FromWords(pat)))
 		}
-		it := btRangeTree(tree, n, pat[:n.prefix], toKey)
+		it := btRangeTree(tree, n, &pat)
 		_, ok := it.Next()
 		return boolVal(ok)
 	}
@@ -117,7 +120,7 @@ func evalExistsShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey 
 			}
 			continue
 		}
-		it := btRangeTree(tree, n, pat[:n.prefix], toKey)
+		it := btRangeTree(tree, n, &pat)
 		if _, ok := it.Next(); ok {
 			return 1
 		}
@@ -125,7 +128,7 @@ func evalExistsShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey 
 	return 0
 }
 
-func evalScanShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, fromKey fromKeyFn[K]) value.Value {
+func evalScanShBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
 	for _, impl := range n.impls {
 		it := impl.(*btree.Tree[K]).Iter()
 		for {
@@ -133,7 +136,7 @@ func evalScanShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, fromKey 
 			if !ok {
 				break
 			}
-			bindKey(n, ctx, k, fromKey)
+			bindKey(n, ctx, k)
 			ex.countIter(ctx)
 			ex.eval(n.nested, ctx)
 		}
@@ -141,30 +144,30 @@ func evalScanShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, fromKey 
 	return 0
 }
 
-func evalIndexScanShBT[K btree.Key[K]](ex *executor, n *inode, ctx *context, toKey toKeyFn[K], fromKey fromKeyFn[K]) value.Value {
-	var pat [relation.MaxArity]value.Value
+func evalIndexScanShBT[K tuple.FixedKey[K]](ex *executor, n *inode, ctx *context) value.Value {
+	var pat tuple.Words
 	ex.fillTuple(n, ctx, pat[:n.prefix])
 	if n.b < n.prefix {
 		tree := n.impls[relation.ShardOf(pat[n.b], len(n.impls))].(*btree.Tree[K])
-		it := btRangeTree(tree, n, pat[:n.prefix], toKey)
+		it := btRangeTree(tree, n, &pat)
 		for {
 			k, ok := it.Next()
 			if !ok {
 				return 0
 			}
-			bindKey(n, ctx, k, fromKey)
+			bindKey(n, ctx, k)
 			ex.countIter(ctx)
 			ex.eval(n.nested, ctx)
 		}
 	}
 	for _, impl := range n.impls {
-		it := btRangeTree(impl.(*btree.Tree[K]), n, pat[:n.prefix], toKey)
+		it := btRangeTree(impl.(*btree.Tree[K]), n, &pat)
 		for {
 			k, ok := it.Next()
 			if !ok {
 				break
 			}
-			bindKey(n, ctx, k, fromKey)
+			bindKey(n, ctx, k)
 			ex.countIter(ctx)
 			ex.eval(n.nested, ctx)
 		}
@@ -252,136 +255,136 @@ func (ex *executor) execSharded(n *inode, ctx *context) (value.Value, bool) {
 	}
 	switch n.op {
 	case opInsertShBT + 0:
-		return evalInsertShBT[relation.Tup1](ex, n, ctx, relation.ToTup1), true
+		return evalInsertShBT[relation.Tup1](ex, n, ctx), true
 	case opInsertShBT + 1:
-		return evalInsertShBT[relation.Tup2](ex, n, ctx, relation.ToTup2), true
+		return evalInsertShBT[relation.Tup2](ex, n, ctx), true
 	case opInsertShBT + 2:
-		return evalInsertShBT[relation.Tup3](ex, n, ctx, relation.ToTup3), true
+		return evalInsertShBT[relation.Tup3](ex, n, ctx), true
 	case opInsertShBT + 3:
-		return evalInsertShBT[relation.Tup4](ex, n, ctx, relation.ToTup4), true
+		return evalInsertShBT[relation.Tup4](ex, n, ctx), true
 	case opInsertShBT + 4:
-		return evalInsertShBT[relation.Tup5](ex, n, ctx, relation.ToTup5), true
+		return evalInsertShBT[relation.Tup5](ex, n, ctx), true
 	case opInsertShBT + 5:
-		return evalInsertShBT[relation.Tup6](ex, n, ctx, relation.ToTup6), true
+		return evalInsertShBT[relation.Tup6](ex, n, ctx), true
 	case opInsertShBT + 6:
-		return evalInsertShBT[relation.Tup7](ex, n, ctx, relation.ToTup7), true
+		return evalInsertShBT[relation.Tup7](ex, n, ctx), true
 	case opInsertShBT + 7:
-		return evalInsertShBT[relation.Tup8](ex, n, ctx, relation.ToTup8), true
+		return evalInsertShBT[relation.Tup8](ex, n, ctx), true
 	case opInsertShBT + 8:
-		return evalInsertShBT[relation.Tup9](ex, n, ctx, relation.ToTup9), true
+		return evalInsertShBT[relation.Tup9](ex, n, ctx), true
 	case opInsertShBT + 9:
-		return evalInsertShBT[relation.Tup10](ex, n, ctx, relation.ToTup10), true
+		return evalInsertShBT[relation.Tup10](ex, n, ctx), true
 	case opInsertShBT + 10:
-		return evalInsertShBT[relation.Tup11](ex, n, ctx, relation.ToTup11), true
+		return evalInsertShBT[relation.Tup11](ex, n, ctx), true
 	case opInsertShBT + 11:
-		return evalInsertShBT[relation.Tup12](ex, n, ctx, relation.ToTup12), true
+		return evalInsertShBT[relation.Tup12](ex, n, ctx), true
 	case opInsertShBT + 12:
-		return evalInsertShBT[relation.Tup13](ex, n, ctx, relation.ToTup13), true
+		return evalInsertShBT[relation.Tup13](ex, n, ctx), true
 	case opInsertShBT + 13:
-		return evalInsertShBT[relation.Tup14](ex, n, ctx, relation.ToTup14), true
+		return evalInsertShBT[relation.Tup14](ex, n, ctx), true
 	case opInsertShBT + 14:
-		return evalInsertShBT[relation.Tup15](ex, n, ctx, relation.ToTup15), true
+		return evalInsertShBT[relation.Tup15](ex, n, ctx), true
 	case opInsertShBT + 15:
-		return evalInsertShBT[relation.Tup16](ex, n, ctx, relation.ToTup16), true
+		return evalInsertShBT[relation.Tup16](ex, n, ctx), true
 
 	case opExistsShBT + 0:
-		return evalExistsShBT[relation.Tup1](ex, n, ctx, relation.ToTup1), true
+		return evalExistsShBT[relation.Tup1](ex, n, ctx), true
 	case opExistsShBT + 1:
-		return evalExistsShBT[relation.Tup2](ex, n, ctx, relation.ToTup2), true
+		return evalExistsShBT[relation.Tup2](ex, n, ctx), true
 	case opExistsShBT + 2:
-		return evalExistsShBT[relation.Tup3](ex, n, ctx, relation.ToTup3), true
+		return evalExistsShBT[relation.Tup3](ex, n, ctx), true
 	case opExistsShBT + 3:
-		return evalExistsShBT[relation.Tup4](ex, n, ctx, relation.ToTup4), true
+		return evalExistsShBT[relation.Tup4](ex, n, ctx), true
 	case opExistsShBT + 4:
-		return evalExistsShBT[relation.Tup5](ex, n, ctx, relation.ToTup5), true
+		return evalExistsShBT[relation.Tup5](ex, n, ctx), true
 	case opExistsShBT + 5:
-		return evalExistsShBT[relation.Tup6](ex, n, ctx, relation.ToTup6), true
+		return evalExistsShBT[relation.Tup6](ex, n, ctx), true
 	case opExistsShBT + 6:
-		return evalExistsShBT[relation.Tup7](ex, n, ctx, relation.ToTup7), true
+		return evalExistsShBT[relation.Tup7](ex, n, ctx), true
 	case opExistsShBT + 7:
-		return evalExistsShBT[relation.Tup8](ex, n, ctx, relation.ToTup8), true
+		return evalExistsShBT[relation.Tup8](ex, n, ctx), true
 	case opExistsShBT + 8:
-		return evalExistsShBT[relation.Tup9](ex, n, ctx, relation.ToTup9), true
+		return evalExistsShBT[relation.Tup9](ex, n, ctx), true
 	case opExistsShBT + 9:
-		return evalExistsShBT[relation.Tup10](ex, n, ctx, relation.ToTup10), true
+		return evalExistsShBT[relation.Tup10](ex, n, ctx), true
 	case opExistsShBT + 10:
-		return evalExistsShBT[relation.Tup11](ex, n, ctx, relation.ToTup11), true
+		return evalExistsShBT[relation.Tup11](ex, n, ctx), true
 	case opExistsShBT + 11:
-		return evalExistsShBT[relation.Tup12](ex, n, ctx, relation.ToTup12), true
+		return evalExistsShBT[relation.Tup12](ex, n, ctx), true
 	case opExistsShBT + 12:
-		return evalExistsShBT[relation.Tup13](ex, n, ctx, relation.ToTup13), true
+		return evalExistsShBT[relation.Tup13](ex, n, ctx), true
 	case opExistsShBT + 13:
-		return evalExistsShBT[relation.Tup14](ex, n, ctx, relation.ToTup14), true
+		return evalExistsShBT[relation.Tup14](ex, n, ctx), true
 	case opExistsShBT + 14:
-		return evalExistsShBT[relation.Tup15](ex, n, ctx, relation.ToTup15), true
+		return evalExistsShBT[relation.Tup15](ex, n, ctx), true
 	case opExistsShBT + 15:
-		return evalExistsShBT[relation.Tup16](ex, n, ctx, relation.ToTup16), true
+		return evalExistsShBT[relation.Tup16](ex, n, ctx), true
 
 	case opScanShBT + 0:
-		return evalScanShBT[relation.Tup1](ex, n, ctx, relation.FromTup1), true
+		return evalScanShBT[relation.Tup1](ex, n, ctx), true
 	case opScanShBT + 1:
-		return evalScanShBT[relation.Tup2](ex, n, ctx, relation.FromTup2), true
+		return evalScanShBT[relation.Tup2](ex, n, ctx), true
 	case opScanShBT + 2:
-		return evalScanShBT[relation.Tup3](ex, n, ctx, relation.FromTup3), true
+		return evalScanShBT[relation.Tup3](ex, n, ctx), true
 	case opScanShBT + 3:
-		return evalScanShBT[relation.Tup4](ex, n, ctx, relation.FromTup4), true
+		return evalScanShBT[relation.Tup4](ex, n, ctx), true
 	case opScanShBT + 4:
-		return evalScanShBT[relation.Tup5](ex, n, ctx, relation.FromTup5), true
+		return evalScanShBT[relation.Tup5](ex, n, ctx), true
 	case opScanShBT + 5:
-		return evalScanShBT[relation.Tup6](ex, n, ctx, relation.FromTup6), true
+		return evalScanShBT[relation.Tup6](ex, n, ctx), true
 	case opScanShBT + 6:
-		return evalScanShBT[relation.Tup7](ex, n, ctx, relation.FromTup7), true
+		return evalScanShBT[relation.Tup7](ex, n, ctx), true
 	case opScanShBT + 7:
-		return evalScanShBT[relation.Tup8](ex, n, ctx, relation.FromTup8), true
+		return evalScanShBT[relation.Tup8](ex, n, ctx), true
 	case opScanShBT + 8:
-		return evalScanShBT[relation.Tup9](ex, n, ctx, relation.FromTup9), true
+		return evalScanShBT[relation.Tup9](ex, n, ctx), true
 	case opScanShBT + 9:
-		return evalScanShBT[relation.Tup10](ex, n, ctx, relation.FromTup10), true
+		return evalScanShBT[relation.Tup10](ex, n, ctx), true
 	case opScanShBT + 10:
-		return evalScanShBT[relation.Tup11](ex, n, ctx, relation.FromTup11), true
+		return evalScanShBT[relation.Tup11](ex, n, ctx), true
 	case opScanShBT + 11:
-		return evalScanShBT[relation.Tup12](ex, n, ctx, relation.FromTup12), true
+		return evalScanShBT[relation.Tup12](ex, n, ctx), true
 	case opScanShBT + 12:
-		return evalScanShBT[relation.Tup13](ex, n, ctx, relation.FromTup13), true
+		return evalScanShBT[relation.Tup13](ex, n, ctx), true
 	case opScanShBT + 13:
-		return evalScanShBT[relation.Tup14](ex, n, ctx, relation.FromTup14), true
+		return evalScanShBT[relation.Tup14](ex, n, ctx), true
 	case opScanShBT + 14:
-		return evalScanShBT[relation.Tup15](ex, n, ctx, relation.FromTup15), true
+		return evalScanShBT[relation.Tup15](ex, n, ctx), true
 	case opScanShBT + 15:
-		return evalScanShBT[relation.Tup16](ex, n, ctx, relation.FromTup16), true
+		return evalScanShBT[relation.Tup16](ex, n, ctx), true
 
 	case opIndexScanShBT + 0:
-		return evalIndexScanShBT[relation.Tup1](ex, n, ctx, relation.ToTup1, relation.FromTup1), true
+		return evalIndexScanShBT[relation.Tup1](ex, n, ctx), true
 	case opIndexScanShBT + 1:
-		return evalIndexScanShBT[relation.Tup2](ex, n, ctx, relation.ToTup2, relation.FromTup2), true
+		return evalIndexScanShBT[relation.Tup2](ex, n, ctx), true
 	case opIndexScanShBT + 2:
-		return evalIndexScanShBT[relation.Tup3](ex, n, ctx, relation.ToTup3, relation.FromTup3), true
+		return evalIndexScanShBT[relation.Tup3](ex, n, ctx), true
 	case opIndexScanShBT + 3:
-		return evalIndexScanShBT[relation.Tup4](ex, n, ctx, relation.ToTup4, relation.FromTup4), true
+		return evalIndexScanShBT[relation.Tup4](ex, n, ctx), true
 	case opIndexScanShBT + 4:
-		return evalIndexScanShBT[relation.Tup5](ex, n, ctx, relation.ToTup5, relation.FromTup5), true
+		return evalIndexScanShBT[relation.Tup5](ex, n, ctx), true
 	case opIndexScanShBT + 5:
-		return evalIndexScanShBT[relation.Tup6](ex, n, ctx, relation.ToTup6, relation.FromTup6), true
+		return evalIndexScanShBT[relation.Tup6](ex, n, ctx), true
 	case opIndexScanShBT + 6:
-		return evalIndexScanShBT[relation.Tup7](ex, n, ctx, relation.ToTup7, relation.FromTup7), true
+		return evalIndexScanShBT[relation.Tup7](ex, n, ctx), true
 	case opIndexScanShBT + 7:
-		return evalIndexScanShBT[relation.Tup8](ex, n, ctx, relation.ToTup8, relation.FromTup8), true
+		return evalIndexScanShBT[relation.Tup8](ex, n, ctx), true
 	case opIndexScanShBT + 8:
-		return evalIndexScanShBT[relation.Tup9](ex, n, ctx, relation.ToTup9, relation.FromTup9), true
+		return evalIndexScanShBT[relation.Tup9](ex, n, ctx), true
 	case opIndexScanShBT + 9:
-		return evalIndexScanShBT[relation.Tup10](ex, n, ctx, relation.ToTup10, relation.FromTup10), true
+		return evalIndexScanShBT[relation.Tup10](ex, n, ctx), true
 	case opIndexScanShBT + 10:
-		return evalIndexScanShBT[relation.Tup11](ex, n, ctx, relation.ToTup11, relation.FromTup11), true
+		return evalIndexScanShBT[relation.Tup11](ex, n, ctx), true
 	case opIndexScanShBT + 11:
-		return evalIndexScanShBT[relation.Tup12](ex, n, ctx, relation.ToTup12, relation.FromTup12), true
+		return evalIndexScanShBT[relation.Tup12](ex, n, ctx), true
 	case opIndexScanShBT + 12:
-		return evalIndexScanShBT[relation.Tup13](ex, n, ctx, relation.ToTup13, relation.FromTup13), true
+		return evalIndexScanShBT[relation.Tup13](ex, n, ctx), true
 	case opIndexScanShBT + 13:
-		return evalIndexScanShBT[relation.Tup14](ex, n, ctx, relation.ToTup14, relation.FromTup14), true
+		return evalIndexScanShBT[relation.Tup14](ex, n, ctx), true
 	case opIndexScanShBT + 14:
-		return evalIndexScanShBT[relation.Tup15](ex, n, ctx, relation.ToTup15, relation.FromTup15), true
+		return evalIndexScanShBT[relation.Tup15](ex, n, ctx), true
 	case opIndexScanShBT + 15:
-		return evalIndexScanShBT[relation.Tup16](ex, n, ctx, relation.ToTup16, relation.FromTup16), true
+		return evalIndexScanShBT[relation.Tup16](ex, n, ctx), true
 	}
 	return 0, false
 }

@@ -88,6 +88,11 @@ type batcher interface {
 // structure (paper Fig 7). Tuples cross this interface in *encoded* (index)
 // order; callers that need source order decode with Order().Decode, or avoid
 // decoding entirely via static reordering (§4.2).
+//
+// No method keeps its tuple or pattern argument after it returns: an
+// implementation copies what it stores (and what an iterator it returns
+// still needs) before returning. Callers may therefore pass a reused buffer,
+// as the interpreter's dynamic opcodes do with their per-query buffers.
 type Index interface {
 	// Arity is the tuple width.
 	Arity() int

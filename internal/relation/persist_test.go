@@ -97,7 +97,17 @@ func TestPersistMatchesBTree(t *testing.T) {
 			if pi.AnyMatch(enc, k) != bi.AnyMatch(enc, k) {
 				t.Fatalf("step %d: AnyMatch k=%d mismatch on %v", step, k, enc)
 			}
-			if !tuplesEq(collect(t, pi.PrefixScan(enc, k), arity), collect(t, bi.PrefixScan(enc, k), arity)) {
+			// Each scan gets its own copy of the pattern, overwritten
+			// before the iterator runs: no Index keeps its argument.
+			scan := func(idx Index) []tuple.Tuple {
+				buf := append(tuple.Tuple(nil), enc...)
+				it := idx.PrefixScan(buf, k)
+				for i := range buf {
+					buf[i] = ^value.Value(0)
+				}
+				return collect(t, it, arity)
+			}
+			if !tuplesEq(scan(pi), scan(bi)) {
 				t.Fatalf("step %d: PrefixScan k=%d mismatch on %v", step, k, enc)
 			}
 		}
